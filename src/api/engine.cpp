@@ -13,43 +13,24 @@ namespace scalocate::api {
 
 Stream::Stream(std::shared_ptr<detail::ModelEntry> entry,
                StreamingConfig config)
-    : entry_(std::move(entry)), config_(std::move(config)) {
-  if (entry_->batcher)
-    batched_ = entry_->batcher->open_stream(config_);
-  else
-    streaming_ =
-        std::make_unique<runtime::StreamingLocator>(*entry_->locator, config_);
-}
+    : entry_(std::move(entry)),
+      streaming_(std::make_unique<runtime::StreamingLocator>(
+          *entry_->locator, std::move(config))) {}
 
 std::vector<Detection> Stream::feed(std::span<const float> chunk) {
-  if (batched_) {
-    // Wait-free ingest, then an opportunistic drain: whatever the batcher
-    // finalized so far (possibly from earlier chunks) is delivered now.
-    batched_->feed(chunk);
-    std::vector<Detection> drained;
-    batched_->poll(drained);
-    pending_.insert(pending_.end(), drained.begin(), drained.end());
-  } else {
-    const auto detections = streaming_->feed(chunk);
-    pending_.insert(pending_.end(), detections.begin(), detections.end());
-  }
+  const auto detections = streaming_->feed(chunk);
+  pending_.insert(pending_.end(), detections.begin(), detections.end());
   return deliver();
 }
 
 std::vector<Detection> Stream::finish() {
-  const auto detections =
-      batched_ ? batched_->finish() : streaming_->finish();
+  const auto detections = streaming_->finish();
   pending_.insert(pending_.end(), detections.begin(), detections.end());
   return deliver();
 }
 
 void Stream::reset() {
-  // The batched path has no in-place reset: the old BatchedStream detaches
-  // (the batcher prunes it next tick) and a fresh one takes its place.
-  if (batched_)
-    batched_ = entry_->batcher->open_stream(config_);
-  else
-    streaming_->reset();
+  streaming_->reset();
   pending_.clear();
 }
 
@@ -127,17 +108,6 @@ crypto::CipherId Engine::register_entry(
                   "Engine: model must be trained");
   const auto cipher = entry->locator->config().params.cipher;
   if (entry->registry) entry->stream_prefix = "stream." + metric_model_name(cipher);
-  if (config_.max_batch_windows > 0) {
-    runtime::BatchConfig bc;
-    bc.max_batch_windows = config_.max_batch_windows;
-    bc.batch_linger = std::chrono::microseconds(config_.batch_linger_us);
-    bc.intra_op_threads = config_.batch_intra_op_threads;
-    bc.registry = config_.registry;
-    if (config_.registry)
-      bc.metric_prefix = "batch." + metric_model_name(cipher);
-    entry->batcher =
-        std::make_unique<runtime::WindowBatcher>(*entry->locator, bc);
-  }
   // A replaced entry may hold the last reference to a service with jobs
   // still in flight; its drain() must run after the registry lock is
   // released, or a hot-swap would stall every other Engine operation.
@@ -159,9 +129,6 @@ runtime::ServiceConfig Engine::service_config(crypto::CipherId cipher) const {
   cfg.watchdog_p99_multiple = config_.watchdog_p99_multiple;
   cfg.watchdog_min_samples = config_.watchdog_min_samples;
   cfg.intra_op_threads = config_.intra_op_threads;
-  cfg.max_batch_windows = config_.max_batch_windows;
-  cfg.batch_linger_us = config_.batch_linger_us;
-  cfg.batch_intra_op_threads = config_.batch_intra_op_threads;
   if (config_.registry) {
     cfg.registry = config_.registry;
     cfg.metric_prefix = "engine." + metric_model_name(cipher);

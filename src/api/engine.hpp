@@ -4,8 +4,7 @@
 // locators) into a cipher-keyed registry and runs every model over ONE
 // shared ThreadPool — a single deployment can serve AES-128, Clefia and
 // Camellia models side by side, with per-request model selection by cipher.
-// Sessions unify the three workloads that used to be three unrelated
-// classes:
+// Sessions unify the two workloads that used to be two unrelated classes:
 //
 //   session.submit(trace)      whole-trace jobs with bounded-queue
 //                              backpressure and cancellation
@@ -34,7 +33,6 @@
 #include "obs/registry.hpp"
 #include "runtime/locator_service.hpp"
 #include "runtime/streaming_locator.hpp"
-#include "runtime/window_batcher.hpp"
 
 namespace scalocate::api {
 
@@ -73,33 +71,13 @@ struct EngineConfig {
   /// traces, each saturating the machine. Detections are bit-identical
   /// at every setting, so the trade is purely throughput vs latency.
   std::size_t intra_op_threads = 1;
-  /// Cross-session dynamic batching — the fleet serving plane (README
-  /// "Fleet serving"). 0 = off (default): every stream scores its own
-  /// windows on its caller's thread, the legacy path. >0: each registered
-  /// model gets a runtime::WindowBatcher, and streams opened through
-  /// Sessions feed a wait-free ingest ring instead; the batcher coalesces
-  /// up to this many ready windows across ALL of the model's sessions into
-  /// one score_window_batch GEMM per flush. Detections are bit-identical
-  /// either way (batch composition cannot change a window's score), so the
-  /// knob trades nothing but latency shape for fleet throughput.
-  std::size_t max_batch_windows = 0;
-  /// How long a partially filled batch may wait for more windows before it
-  /// is flushed anyway — the added-latency bound a quiet fleet pays.
-  /// Ignored when batching is off.
-  std::uint64_t batch_linger_us = 200;
-  /// Intra-op kernel fan-out of the shared batch GEMM. 0 (default) =
-  /// process default (SCALOCATE_THREADS): unlike per-job scoring, the
-  /// batcher IS the model's shared compute path, so it defaults wide.
-  /// Ignored when batching is off.
-  std::size_t batch_intra_op_threads = 0;
   /// Telemetry sink (must outlive the Engine). When set, every registered
   /// model gets per-model instruments — `engine.<model>.requests`,
   /// `.queue_depth`, `.queue_wait_ns`, `.latency_ns`, `.cancelled`,
   /// `.backpressure_blocks` — and every stream opened through a Session
   /// gets `stream.<model>.samples_fed` / `.windows_scored` / `.detections`
-  /// / `.emission_lag_samples`; the shared pool reports `pool.queue_depth`
-  /// and `pool.tasks`; and with batching on, each model's batcher reports
-  /// `batch.<model>.*` (see runtime::BatchMetrics). Null = telemetry off
+  /// / `.corrupt_samples` / `.emission_lag_samples`; the shared pool
+  /// reports `pool.queue_depth` and `pool.tasks`. Null = telemetry off
   /// (zero overhead and no behavior change either way). Pass
   /// &obs::Registry::global() to publish into the process-wide registry.
   obs::Registry* registry = nullptr;
@@ -139,10 +117,6 @@ struct ModelEntry {
   obs::Registry* registry = nullptr;  ///< null = telemetry off
   std::string stream_prefix;          ///< e.g. "stream.aes128"
   runtime::LocatorService service;
-  /// Cross-session window batcher (EngineConfig::max_batch_windows > 0);
-  /// null = streams self-score (legacy path). Declared last so teardown
-  /// joins the scheduler thread while the locator is still alive.
-  std::unique_ptr<runtime::WindowBatcher> batcher;
 };
 }  // namespace detail
 
@@ -169,18 +143,13 @@ class Job {
   std::future<std::vector<std::size_t>> future_;
 };
 
-/// Push-based chunk ingestion bound to one session's model. Detections are
-/// delivered online, exactly as the offline pipeline would emit them:
-/// through the callback when one is installed, otherwise returned from
-/// feed()/finish() (poll style).
-///
-/// With batching on (EngineConfig::max_batch_windows > 0) the stream
-/// routes through the model's runtime::WindowBatcher: feed() becomes a
-/// wait-free ingest push plus an opportunistic result drain, and
-/// detections surface asynchronously — a feed() may return detections
-/// completed by earlier chunks, with the full set guaranteed by finish().
-/// The DETECTIONS are bit-identical to the self-scoring path either way;
-/// only the feed() call that happens to hand them over shifts.
+/// Push-based chunk ingestion bound to one session's model: a
+/// runtime::StreamingLocator that scores its windows inline, on the thread
+/// that calls feed(). Detections are delivered online, exactly as the
+/// offline pipeline would emit them: through the callback when one is
+/// installed, otherwise returned from feed()/finish() (poll style). To
+/// serve many streams, feed them from several threads; streams of one
+/// model share its weights and own their scratch.
 class Stream {
  public:
   using Callback = std::function<void(const Detection&)>;
@@ -195,23 +164,14 @@ class Stream {
   std::vector<Detection> finish();
   void reset();
 
-  /// True when this stream scores through the model's shared batcher.
-  bool batched() const { return batched_ != nullptr; }
-
   std::size_t samples_consumed() const {
-    return batched_ ? batched_->samples_consumed()
-                    : streaming_->samples_consumed();
+    return streaming_->samples_consumed();
   }
   std::size_t resident_samples() const {
-    return batched_ ? batched_->resident_samples()
-                    : streaming_->resident_samples();
+    return streaming_->resident_samples();
   }
-  float threshold() const {
-    return batched_ ? batched_->threshold() : streaming_->threshold();
-  }
-  std::size_t median_k() const {
-    return batched_ ? batched_->median_k() : streaming_->median_k();
-  }
+  float threshold() const { return streaming_->threshold(); }
+  std::size_t median_k() const { return streaming_->median_k(); }
 
  private:
   friend class Session;
@@ -223,9 +183,7 @@ class Stream {
   std::vector<Detection> deliver();
 
   std::shared_ptr<detail::ModelEntry> entry_;  ///< keeps the model alive
-  StreamingConfig config_;  ///< kept so reset() can reopen the batched path
-  std::unique_ptr<runtime::StreamingLocator> streaming_;  ///< legacy path
-  std::shared_ptr<runtime::BatchedStream> batched_;       ///< batched path
+  std::unique_ptr<runtime::StreamingLocator> streaming_;
   std::deque<Detection> pending_;  ///< finalized but not yet delivered
   Callback callback_;
 };

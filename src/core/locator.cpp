@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "common/signal.hpp"
-#include "nn/serialize.hpp"
 
 namespace scalocate::core {
 
@@ -183,7 +182,8 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
 
 CoLocator::Located CoLocator::locate_detailed(
     std::span<const float> trace_samples, nn::Workspace& ws) const {
-  detail::require(trained_, "CoLocator::locate: train() or load_model() first");
+  detail::require(trained_,
+                  "CoLocator::locate: train() or from_artifact() first");
   Located out;
   SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
                                      config_.params.stride);
@@ -259,16 +259,6 @@ void CoLocator::restore_calibration(CalibrationState state) {
   mean_co_length_ = state.mean_co_length;
   calibrated_threshold_ = state.calibrated_threshold;
   fine_template_ = std::move(state.fine_template);
-  model_->set_training(false);
-  trained_ = true;
-}
-
-void CoLocator::save_model(const std::string& path) const {
-  nn::save_module(*model_, path);
-}
-
-void CoLocator::load_model(const std::string& path) {
-  nn::load_module(*model_, path);
   model_->set_training(false);
   trained_ = true;
 }

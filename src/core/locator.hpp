@@ -83,12 +83,6 @@ class CoLocator {
   AlignedTraces locate_and_align(std::span<const float> trace_samples,
                                  std::size_t segment_length) const;
 
-  /// Legacy weights-only persistence (architecture must match the config;
-  /// calibration is NOT saved). Prefer export_artifact/from_artifact, which
-  /// bundle everything a fresh process needs to serve.
-  void save_model(const std::string& path) const;
-  void load_model(const std::string& path);
-
   /// Everything train() produces beyond the CNN weights. Bundled into
   /// versioned model artifacts (api/artifact) so a fresh process can serve
   /// without retraining.

@@ -1,7 +1,8 @@
 #include "nn/serialize.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <istream>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/io.hpp"
@@ -9,8 +10,6 @@
 namespace scalocate::nn {
 
 namespace {
-
-constexpr std::uint64_t kModelMagic = 0x5343414c4d444c31ULL;  // "SCALMDL1"
 
 /// Upper bounds that keep a corrupt length prefix from turning into a
 /// multi-gigabyte allocation before the stream's failbit is ever checked.
@@ -42,45 +41,6 @@ void checked_floats(std::istream& is, std::span<float> out, const char* what) {
 }
 
 }  // namespace
-
-void save_module(const Layer& module, const std::string& path) {
-  auto os = io::open_for_write(path, kModelMagic);
-  const auto params = module.params();
-  io::write_scalar<std::uint64_t>(os, params.size());
-  for (const Param* p : params) {
-    io::write_string(os, p->name);
-    std::vector<float> values(p->value.flat().begin(), p->value.flat().end());
-    io::write_vector(os, values);
-  }
-  const auto buffers = module.buffers();
-  io::write_scalar<std::uint64_t>(os, buffers.size());
-  for (const auto* b : buffers) io::write_vector(os, *b);
-}
-
-void load_module(Layer& module, const std::string& path) {
-  auto is = io::open_for_read(path, kModelMagic);
-  const auto params = module.params();
-  const auto n_params = io::read_scalar<std::uint64_t>(is);
-  detail::require(n_params == params.size(),
-                  "load_module: parameter count mismatch for " + path);
-  for (Param* p : params) {
-    const std::string name = io::read_string(is);
-    const auto values = io::read_vector<float>(is);
-    detail::require(values.size() == p->value.numel(),
-                    "load_module: size mismatch for parameter " + name);
-    std::copy(values.begin(), values.end(), p->value.data());
-  }
-  const auto n_buffers = io::read_scalar<std::uint64_t>(is);
-  const auto buffers = module.buffers();
-  detail::require(n_buffers == buffers.size(),
-                  "load_module: buffer count mismatch for " + path);
-  for (auto* b : buffers) {
-    const auto values = io::read_vector<float>(is);
-    detail::require(values.size() == b->size(),
-                    "load_module: buffer size mismatch");
-    *b = values;
-  }
-}
 
 void write_module_payload(std::ostream& os, const Layer& module) {
   const auto params = module.params();

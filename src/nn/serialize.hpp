@@ -1,26 +1,19 @@
 // Model checkpointing.
 //
-// Two formats live here:
-//  - the legacy checkpoint (save_module/load_module): parameter values +
-//    batch-norm buffers in enumeration order. Load requires a module
-//    constructed with the same architecture; shapes are validated only
-//    element-count-wise. Kept for existing tooling and tests.
-//  - the self-describing payload (write_module_payload /
-//    read_module_payload): every parameter is written with its name and
-//    full shape, so a reader can validate the architecture field-by-field
-//    and report structured errors. This is the weight section of the
-//    versioned model artifacts (api/artifact).
+// One persistent format lives here: the self-describing payload
+// (write_module_payload / read_module_payload). Every parameter is written
+// with its name and full shape, so a reader can validate the architecture
+// field-by-field and report structured errors. It is the weight section of
+// the versioned model artifacts (api/artifact), which also carry the
+// calibration a weights-only file would lose.
 #pragma once
 
 #include <iosfwd>
-#include <string>
+#include <vector>
 
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {
-
-void save_module(const Layer& module, const std::string& path);
-void load_module(Layer& module, const std::string& path);
 
 /// Writes the module's parameters (name + shape + data) and buffers to the
 /// stream. Deterministic: the same module state always produces the same

@@ -118,17 +118,6 @@ struct ServiceConfig {
   std::size_t watchdog_min_samples = 32;
   /// How often the watchdog thread scans running jobs.
   std::chrono::milliseconds watchdog_poll{20};
-  /// Cross-session stream batching knobs (see runtime::WindowBatcher and
-  /// README "Fleet serving"). Carried here so the whole serving stack
-  /// shares one config surface; the whole-trace job executor itself does
-  /// not batch — the api::Engine consumes these when it builds each
-  /// model's batcher. 0 = batching off (streams self-score, the legacy
-  /// bit-identical path).
-  std::size_t max_batch_windows = 0;
-  /// Flush-latency bound for a partially filled batch, in microseconds.
-  std::uint64_t batch_linger_us = 200;
-  /// Intra-op fan-out of the shared batch GEMM (0 = process default).
-  std::size_t batch_intra_op_threads = 0;
   /// Telemetry sink. When set, the service registers per-service
   /// instruments under `metric_prefix` and records request counts, queue
   /// depth, queue-wait and end-to-end latency, cancellations, backpressure

@@ -20,6 +20,32 @@ const core::CoLocator& require_trained(const core::CoLocator& locator) {
   return locator;
 }
 
+/// Result of scrub_non_finite: the data to append (possibly `scratch`
+/// with zeros substituted) and how many non-finite samples were found.
+struct ScrubResult {
+  std::span<const float> data;
+  std::size_t bad = 0;
+};
+
+/// Counts non-finite samples and, under kSanitize, rewrites them to 0.0f in
+/// `scratch` (handles `chunk` already aliasing `scratch`, as after fault
+/// poisoning). Never throws: the caller owns the accounting and the kReject
+/// CorruptSignal, so corruption is counted even when the chunk is rejected.
+ScrubResult scrub_non_finite(std::span<const float> chunk,
+                             StreamingConfig::NanPolicy policy,
+                             std::vector<float>& scratch) {
+  ScrubResult r{chunk, 0};
+  for (const float sample : chunk)
+    if (!std::isfinite(sample)) ++r.bad;
+  if (r.bad == 0 || policy == StreamingConfig::NanPolicy::kReject) return r;
+  if (chunk.data() != scratch.data())
+    scratch.assign(chunk.begin(), chunk.end());
+  for (float& sample : scratch)
+    if (!std::isfinite(sample)) sample = 0.0f;
+  r.data = scratch;
+  return r;
+}
+
 }  // namespace
 
 StreamMetrics StreamMetrics::resolve(obs::Registry& registry,
@@ -123,21 +149,6 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   return out;
 }
 
-StreamingLocator::ScrubResult StreamingLocator::scrub_non_finite(
-    std::span<const float> chunk, StreamingConfig::NanPolicy policy,
-    std::vector<float>& scratch) {
-  ScrubResult r{chunk, 0};
-  for (const float sample : chunk)
-    if (!std::isfinite(sample)) ++r.bad;
-  if (r.bad == 0 || policy == StreamingConfig::NanPolicy::kReject) return r;
-  if (chunk.data() != scratch.data())
-    scratch.assign(chunk.begin(), chunk.end());
-  for (float& sample : scratch)
-    if (!std::isfinite(sample)) sample = 0.0f;
-  r.data = scratch;
-  return r;
-}
-
 std::vector<Detection> StreamingLocator::finish() {
   detail::require(!finished_, "StreamingLocator::finish called twice");
   std::vector<Detection> out;
@@ -158,10 +169,7 @@ void StreamingLocator::score_ready_windows() {
   // Score every window fully contained in the stream so far, in batches.
   // Each CNN row is computed independently of its batch neighbors, so the
   // scores match the offline classifier regardless of how the chunk
-  // boundaries happen to group the windows. The ready_windows() /
-  // ready_window() / ingest_scores() trio is the same surface an external
-  // scheduler (runtime::WindowBatcher) drives, so the self-scoring and
-  // batched paths share one code path end to end.
+  // boundaries happen to group the windows.
   std::size_t ready = 0;
   while ((ready = ready_windows()) > 0) {
     const std::size_t count = std::min(ready, batch_size_);
@@ -172,22 +180,11 @@ void StreamingLocator::score_ready_windows() {
     classifier_.score_window_batch(
         count, [&](std::size_t i) { return ready_window(i); },
         scores_buf_.data(), ws_);
-    ingest_scores({scores_buf_.data(), count});
+    for (const float score : scores_buf_)
+      square_.push_back(score >= threshold_ ? 1.0f : -1.0f);
+    next_window_ += count;
+    if (metrics_.enabled()) metrics_.windows_scored->add(count);
   }
-}
-
-void StreamingLocator::ingest_scores(std::span<const float> scores) {
-  for (const float score : scores)
-    square_.push_back(score >= threshold_ ? 1.0f : -1.0f);
-  next_window_ += scores.size();
-  if (metrics_.enabled()) metrics_.windows_scored->add(scores.size());
-}
-
-void StreamingLocator::append_ingested(std::span<const float> chunk) {
-  detail::require(!finished_,
-                  "StreamingLocator::append_ingested after finish");
-  if (metrics_.enabled()) metrics_.samples_fed->add(chunk.size());
-  ring_.append(chunk);
 }
 
 std::size_t StreamingLocator::ready_windows() const {
@@ -199,31 +196,6 @@ std::size_t StreamingLocator::ready_windows() const {
 
 std::span<const float> StreamingLocator::ready_window(std::size_t i) const {
   return ring_.view((next_window_ + i) * stride_, window_);
-}
-
-void StreamingLocator::accept_scores(std::span<const float> scores,
-                                     std::vector<Detection>& out) {
-  detail::require(!finished_,
-                  "StreamingLocator::accept_scores after finish");
-  detail::require(scores.size() <= ready_windows(),
-                  "StreamingLocator::accept_scores: more scores than ready "
-                  "windows");
-  ingest_scores(scores);
-  emit_filtered(/*eof=*/false);
-  refine_ready_edges(/*eof=*/false);
-  release_pending(/*eof=*/false, out);
-  trim_ring();
-}
-
-void StreamingLocator::finish_into(std::vector<Detection>& out) {
-  detail::require(!finished_, "StreamingLocator::finish_into called twice");
-  detail::require(ready_windows() == 0,
-                  "StreamingLocator::finish_into with unscored ready windows "
-                  "(the scheduler must flush first)");
-  emit_filtered(/*eof=*/true);
-  refine_ready_edges(/*eof=*/true);
-  release_pending(/*eof=*/true, out);
-  finished_ = true;
 }
 
 void StreamingLocator::emit_filtered(bool eof) {

@@ -117,56 +117,6 @@ class StreamingLocator {
   /// Forgets all stream state (keeps the model/config) for a new trace.
   void reset();
 
-  // --- external scheduling (cross-session batching) ----------------------
-  // The scoring-core half of the ingest/scoring split: a scheduler (see
-  // runtime::WindowBatcher) appends pre-validated samples, asks how many
-  // windows are ready, scores them TOGETHER with other sessions' windows
-  // through one shared score_window_batch GEMM, and hands the scores back.
-  // Because every CNN row is computed independently of its batch neighbors
-  // (the batch-composition invariance proven by the offline/streaming
-  // parity suite), routing scores through accept_scores() yields
-  // detections bit-identical to the self-scoring feed() path.
-  //
-  // All five methods below — like feed()/finish() — must be called from
-  // one thread at a time (the scheduler thread); cross-thread hand-off of
-  // raw samples is the ingest half's job (runtime::SpscRing).
-
-  /// Result of scrub_non_finite: the data to append (possibly `scratch`
-  /// with zeros substituted) and how many non-finite samples were found.
-  struct ScrubResult {
-    std::span<const float> data;
-    std::size_t bad = 0;
-  };
-  /// Shared NaN-policy scrub used by the self-scoring feed() and by the
-  /// batched ingest half (runtime::BatchedStream::feed): counts non-finite
-  /// samples and, under kSanitize, rewrites them to 0.0f in `scratch`
-  /// (handles `chunk` already aliasing `scratch`, as after fault
-  /// poisoning). Never throws — the caller owns the accounting and the
-  /// kReject CorruptSignal, so corruption is counted even when the chunk
-  /// is rejected.
-  static ScrubResult scrub_non_finite(std::span<const float> chunk,
-                                      StreamingConfig::NanPolicy policy,
-                                      std::vector<float>& scratch);
-
-  /// Appends pre-validated samples (NaN policy already applied by the
-  /// ingest half) without scoring anything.
-  void append_ingested(std::span<const float> chunk);
-  /// Windows fully contained in the stream so far and not yet scored.
-  std::size_t ready_windows() const;
-  /// Raw (unstandardized) view of ready window i, i < ready_windows().
-  /// Standardization happens inside the scheduler's score_window_batch,
-  /// exactly as it does on the self-scoring path.
-  std::span<const float> ready_window(std::size_t i) const;
-  /// Accepts externally computed scores for the first scores.size() ready
-  /// windows and advances the downstream pipeline (median filter, edge
-  /// refinement, release, ring trim); appends finalized detections to out.
-  void accept_scores(std::span<const float> scores,
-                     std::vector<Detection>& out);
-  /// End-of-stream for externally scheduled streams. Requires every ready
-  /// window to have been scored (ready_windows() == 0) — the scheduler's
-  /// final flush guarantees that — then drains the pipeline tail.
-  void finish_into(std::vector<Detection>& out);
-
   /// Total samples fed so far.
   std::size_t samples_consumed() const { return ring_.size(); }
   /// Windows scored so far.
@@ -189,8 +139,11 @@ class StreamingLocator {
   };
 
   void pump(bool eof, std::vector<Detection>& out);
+  /// Windows fully contained in the stream so far and not yet scored.
+  std::size_t ready_windows() const;
+  /// Raw (unstandardized) view of ready window i, i < ready_windows().
+  std::span<const float> ready_window(std::size_t i) const;
   void score_ready_windows();
-  void ingest_scores(std::span<const float> scores);
   void emit_filtered(bool eof);
   void on_filtered_value(std::size_t index, float value);
   void refine_ready_edges(bool eof);

@@ -338,6 +338,69 @@ TEST_F(ApiFacade, ThrowingCallbackKeepsDetectionsQueued) {
   EXPECT_EQ(delivered, *offline_);
 }
 
+TEST_F(ApiFacade, ConcurrentInlineStreamsMatchOffline) {
+  // Many streams on one model: 4 threads each feed 2 streams of one session
+  // round-robin, with mixed chunk sizes. Every stream scores inline on its
+  // feeding thread against the shared model, so each must equal the offline
+  // reference however chunks and threads interleave. Part of the TSan CI
+  // job's test set, so the shared model is also checked for data races.
+  ASSERT_FALSE(offline_->empty());
+  api::Engine engine({.workers = 1});
+  engine.attach_model(*locator_);
+  const auto session = engine.open_session();
+  const std::span<const float> samples(eval_->samples);
+  const std::size_t chunks[] = {48, 97, 331, 1024, samples.size()};
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kStreamsPerThread = 2;
+  std::vector<std::vector<std::size_t>> got(kThreads * kStreamsPerThread);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<api::Stream> streams;
+      std::vector<std::size_t> offsets(kStreamsPerThread, 0);
+      for (std::size_t k = 0; k < kStreamsPerThread; ++k)
+        streams.push_back(session.open_stream());
+      bool progress = true;
+      while (progress) {
+        progress = false;
+        for (std::size_t k = 0; k < kStreamsPerThread; ++k) {
+          const std::size_t id = t * kStreamsPerThread + k;
+          if (offsets[k] >= samples.size()) continue;
+          const std::size_t n = std::min(chunks[id % std::size(chunks)],
+                                         samples.size() - offsets[k]);
+          for (const auto& d : streams[k].feed(samples.subspan(offsets[k], n)))
+            got[id].push_back(d.start);
+          offsets[k] += n;
+          progress = true;
+        }
+      }
+      for (std::size_t k = 0; k < kStreamsPerThread; ++k)
+        for (const auto& d : streams[k].finish())
+          got[t * kStreamsPerThread + k].push_back(d.start);
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t id = 0; id < got.size(); ++id)
+    EXPECT_EQ(got[id], *offline_) << "stream " << id;
+}
+
+TEST_F(ApiFacade, StreamResetStartsOver) {
+  // reset() discards the stream's state, mid-trace or after finish(); each
+  // replay then matches the offline reference.
+  api::Engine engine({.workers = 1});
+  engine.attach_model(*locator_);
+  auto stream = engine.open_session().open_stream();
+  const std::span<const float> samples(eval_->samples);
+  stream.feed(samples.first(samples.size() / 2));
+  for (int pass = 0; pass < 2; ++pass) {
+    stream.reset();
+    std::vector<std::size_t> got;
+    for (const auto& d : stream.feed(samples)) got.push_back(d.start);
+    for (const auto& d : stream.finish()) got.push_back(d.start);
+    EXPECT_EQ(got, *offline_) << "pass " << pass;
+  }
+}
+
 TEST_F(ApiFacade, OpenSessionWithoutModelThrows) {
   api::Engine engine({.workers = 1});
   EXPECT_THROW(engine.open_session(), InvalidArgument);

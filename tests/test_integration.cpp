@@ -103,26 +103,31 @@ TEST_F(PipelineIntegration, DetailedOutputIsConsistent) {
 }
 
 TEST_F(PipelineIntegration, ModelSaveLoadKeepsPredictions) {
+  // The artifact round trip restores the calibration along with the
+  // weights, so the reloaded locator places COs exactly where the trained
+  // one does, not merely scores windows alike.
   const auto path =
-      (std::filesystem::temp_directory_path() / "scalocate_locator.bin")
+      (std::filesystem::temp_directory_path() / "scalocate_locator.scart")
           .string();
-  locator_->save_model(path);
+  locator_->export_artifact(path);
+  const core::CoLocator clone = core::CoLocator::from_artifact(path);
+  std::remove(path.c_str());
 
-  core::LocatorConfig lc2 = locator_->config();
-  core::CoLocator clone(lc2);
-  clone.load_model(path);
-
+  const auto& params = locator_->config().params;
   const auto eval = trace::acquire_eval_trace(*sc_, 4, *key_, false);
-  core::SlidingWindowClassifier ca(locator_->model(), lc2.params.n_inf,
-                                   lc2.params.stride);
-  core::SlidingWindowClassifier cb(clone.model(), lc2.params.n_inf,
-                                   lc2.params.stride);
+  core::SlidingWindowClassifier ca(locator_->model(), params.n_inf,
+                                   params.stride);
+  core::SlidingWindowClassifier cb(clone.model(), params.n_inf, params.stride);
   const auto sa = ca.classify(eval.samples);
   const auto sb = cb.classify(eval.samples);
   ASSERT_EQ(sa.scores.size(), sb.scores.size());
   for (std::size_t i = 0; i < sa.scores.size(); ++i)
     EXPECT_FLOAT_EQ(sa.scores[i], sb.scores[i]);
-  std::remove(path.c_str());
+
+  EXPECT_EQ(clone.calibration_offset(), locator_->calibration_offset());
+  const auto located = locator_->locate(eval.samples);
+  ASSERT_FALSE(located.empty());
+  EXPECT_EQ(clone.locate(eval.samples), located);
 }
 
 TEST_F(PipelineIntegration, CalibrationOffsetIsSmall) {

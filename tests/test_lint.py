@@ -65,6 +65,19 @@ class MemoryOrderRule(unittest.TestCase):
                         "// beware memory_order_relaxed here\nint x;\n"}) as root:
             self.assertEqual(lint.check_memory_order(Path(root)), [])
 
+    def test_fires_on_stale_allowlist_entry(self):
+        allowlist = {"src/obs/": "live", "src/runtime/gone.": "deleted file"}
+        with make_tree({"src/obs/hot.cpp": self.SNIPPET}) as root:
+            findings = lint.check_memory_order_allowlist(Path(root), allowlist)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("src/runtime/gone.", findings[0])
+        self.assertIn("[memory-order]", findings[0])
+
+    def test_passes_on_live_allowlist_entry(self):
+        with make_tree({"src/obs/hot.cpp": self.SNIPPET}) as root:
+            self.assertEqual(lint.check_memory_order_allowlist(
+                Path(root), {"src/obs/": "live"}), [])
+
 
 class ErrorTaxonomyRule(unittest.TestCase):
     def test_fires_on_unclassified_error(self):

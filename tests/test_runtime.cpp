@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/locator.hpp"
+#include "obs/registry.hpp"
 #include "runtime/locator_service.hpp"
 #include "runtime/ring_buffer.hpp"
 #include "runtime/streaming_locator.hpp"
@@ -187,6 +188,21 @@ TEST(ThreadPool, ShutdownResolvesQueuedFailingTasksExceptionally) {
     gate.set_value();
   }
   EXPECT_THROW(doomed.get(), InvalidArgument);
+}
+
+TEST(ThreadPoolMetrics, TasksAndQueueDepth) {
+  obs::Registry registry;
+  runtime::ThreadPool pool(2);
+  pool.attach_metrics(registry);
+  std::atomic<std::size_t> ran{0};
+  for (int i = 0; i < 50; ++i)
+    pool.post([&](std::size_t) { ran.fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 50u);
+  EXPECT_EQ(registry.counter("pool.tasks").value(), 50u);
+  EXPECT_EQ(registry.gauge("pool.queue_depth").value(), 0);
+  EXPECT_GE(registry.gauge("pool.queue_depth").max(), 1);
+  EXPECT_LE(registry.gauge("pool.queue_depth").max(), 50);
 }
 
 // ---------------------------------------------------------------------------

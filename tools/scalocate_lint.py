@@ -6,7 +6,9 @@ clang-tidy / compiler warnings cannot see:
 
   memory-order    std::memory_order uses are confined to an allowlisted set
                   of audited lock-free files, so relaxed-atomic code cannot
-                  spread through the tree unreviewed.
+                  spread through the tree unreviewed; an allowlist entry
+                  that matches no file under src/ is flagged stale, so a
+                  deleted file's audit cannot pre-approve a new one.
   error-taxonomy  every class deriving from scalocate::Error either carries
                   the Transient mixin or is named in the terminal-errors
                   list in src/common/error.hpp, so api::with_retry can
@@ -51,15 +53,6 @@ MEMORY_ORDER_ALLOWLIST = {
                                    "hot-path probe; relaxed reads, "
                                    "release publication",
     "src/runtime/thread_pool.": "pool stop/quiesce flags polled by workers",
-    "src/runtime/spsc_ring.hpp": "wait-free SPSC ingest ring: "
-                                 "acquire/release head/tail hand-off "
-                                 "(audited in the fleet-batching PR, raced "
-                                 "under TSan in CI)",
-    "src/runtime/window_batcher.": "cross-session batcher: eof/failed/stat "
-                                   "flags exchanged between session "
-                                   "producers and the scheduler thread "
-                                   "(audited in the fleet-batching PR, "
-                                   "raced under TSan in CI)",
     "src/runtime/locator_service.cpp": "job cancel/deadline flags and "
                                        "queue-depth watermark polled by "
                                        "workers without the queue mutex",
@@ -95,6 +88,23 @@ def check_memory_order(root: Path) -> list[str]:
                     f"file and add it to MEMORY_ORDER_ALLOWLIST in "
                     f"tools/scalocate_lint.py with a justification")
     return findings
+
+
+def check_memory_order_allowlist(root: Path,
+                                 allowlist: dict[str, str]) -> list[str]:
+    """Flags allowlist prefixes that match no C++ file under src/. Separate
+    from check_memory_order so fixture trees can pass their own list."""
+    files = [p.relative_to(root).as_posix() for p in _cxx_files(root)]
+    return [f"tools/scalocate_lint.py: [memory-order] MEMORY_ORDER_ALLOWLIST "
+            f"entry '{prefix}' matches no file under src/; remove the stale "
+            f"entry"
+            for prefix in sorted(allowlist)
+            if not any(f.startswith(prefix) for f in files)]
+
+
+def memory_order_rule(root: Path) -> list[str]:
+    return (check_memory_order(root) +
+            check_memory_order_allowlist(root, MEMORY_ORDER_ALLOWLIST))
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +356,7 @@ def check_header_using(root: Path) -> list[str]:
 # ---------------------------------------------------------------------------
 
 RULES = {
-    "memory-order": check_memory_order,
+    "memory-order": memory_order_rule,
     "error-taxonomy": check_error_taxonomy,
     "metric-drift": check_metric_drift,
     "header-using": check_header_using,

@@ -264,14 +264,18 @@ void BM_Conv1dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv1dForward)->Arg(16)->Arg(32);
 
+// Whole-model eval forward at the served window (Ninf = 384 for AES-128
+// and Camellia-128), at batch 1 (streaming) and 64 (offline locate).
 void BM_PaperCnnWindowScore(benchmark::State& state) {
+  const auto batch = static_cast<std::size_t>(state.range(0));
   auto net = core::build_paper_cnn(core::CnnConfig::scaled());
   net->set_training(false);
-  const auto x = random_tensor({64, 1, 256}, 3);
+  const auto x = random_tensor({batch, 1, 384}, 3);
   for (auto _ : state) benchmark::DoNotOptimize(net->forward(x));
-  state.SetItemsProcessed(state.iterations() * 64);  // windows per second
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(batch));  // windows/s
 }
-BENCHMARK(BM_PaperCnnWindowScore);
+BENCHMARK(BM_PaperCnnWindowScore)->Arg(1)->Arg(64);
 
 void BM_CpaAddTrace(benchmark::State& state) {
   sca::CpaConfig cfg;

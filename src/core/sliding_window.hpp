@@ -10,7 +10,9 @@
 // from the trace span into the workspace's reusable batch tensor (no
 // per-window staging buffer) and writes scores into caller-owned storage.
 // CoLocator, StreamingLocator, and LocatorService all score through this
-// one path, so they share the kernel backend's batched GEMM inference.
+// one path, so they share the model's eval forward: depth-first, one
+// window through every layer before the next, with no allocation after
+// warm-up beyond the logits (see nn/sequential.hpp).
 //
 // The classifier never mutates the model: it requires an eval-mode network
 // and routes every forward pass through a caller-owned (or per-classifier)

@@ -21,6 +21,12 @@ Tensor ReLU::forward(const Tensor& input, Workspace& ws) const {
   return out;
 }
 
+Item ReLU::eval_item(const Item& in, EvalLane& lane) const {
+  float* y = lane.output_for(in);
+  kernels::relu(in.numel(), in.data, y);
+  return in.with_data(y);
+}
+
 Tensor ReLU::backward(const Tensor& grad_output, Workspace& ws) {
   const Tensor& mask = ws.slot(this).a;
   detail::require(mask.numel() > 0, "ReLU::backward before forward");

@@ -11,6 +11,7 @@ class ReLU final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::string name() const override { return "ReLU"; }
 };

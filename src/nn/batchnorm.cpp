@@ -98,6 +98,26 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
   return out;
 }
 
+Item BatchNorm1d::eval_item(const Item& in, EvalLane& lane) const {
+  if (in.rank != 2 || in.dims[0] != channels_)
+    throw InvalidArgument("BatchNorm1d::eval_item: expected [C=" +
+                          std::to_string(channels_) + ", N], got " +
+                          in.shape_string());
+  const std::size_t n = in.dims[1];
+  float* y = lane.output_for(in);
+  // forward's eval branch per channel row, minus the xhat cache.
+  for (std::size_t c = 0; c < channels_; ++c) {
+    const double mean = running_mean_[c];
+    const double inv_std =
+        1.0 / std::sqrt(static_cast<double>(running_var_[c]) + eps_);
+    kernels::normalize_scale_shift(
+        n, in.data + c * n, static_cast<float>(mean),
+        static_cast<float>(inv_std), gamma_.value.at(c), beta_.value.at(c),
+        nullptr, y + c * n);
+  }
+  return in.with_data(y);
+}
+
 Tensor BatchNorm1d::backward(const Tensor& grad_output, Workspace& ws) {
   Workspace::Slot& slot = ws.slot(this);
   const Tensor& xhat = slot.a;

@@ -17,6 +17,7 @@ class BatchNorm1d final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
   std::vector<std::vector<float>*> buffers() override {

@@ -29,8 +29,10 @@ std::size_t Conv1d::output_length(std::size_t n) const {
   // Default padding is asymmetric "same": pad_left = (K-1)/2 on the left and
   // the remainder of (K-1) on the right, so stride-1 convolutions preserve
   // length even for even kernels (the paper's K = 64).
-  const std::size_t pad_total = pad_left_ + pad_right_;
-  detail::require(n + pad_total >= kernel_size_, "Conv1d: input too short");
+  // Checked without detail::require: its std::string message would
+  // allocate on every call of the allocation-free eval step.
+  if (n + pad_left_ + pad_right_ < kernel_size_)
+    throw InvalidArgument("Conv1d: input too short");
   return kernels::conv_output_length(n, kernel_size_, stride_, pad_left_,
                                      pad_right_);
 }
@@ -61,6 +63,24 @@ Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
                       bias_.value.data(), input.data(), in_channels_, n,
                       kernel_size_, stride_, pad_left_, out.data(),
                       ws.kernels().gemm);
+  return out;
+}
+
+Item Conv1d::eval_item(const Item& in, EvalLane& lane) const {
+  if (in.rank != 2 || in.dims[0] != in_channels_)
+    throw InvalidArgument("Conv1d::eval_item: expected [Cin=" +
+                          std::to_string(in_channels_) + ", N], got " +
+                          in.shape_string());
+  const std::size_t n = in.dims[1];
+  const std::size_t out_len = output_length(n);
+  float* y = lane.push(out_channels_ * out_len);
+  // forward's kernel call at batch 1: outside a parallel region it still
+  // splits the output channels across the intra-op budget.
+  kernels::sgemm_conv(out_channels_, out_len, 1, weight_.value.data(),
+                      bias_.value.data(), in.data, in_channels_, n,
+                      kernel_size_, stride_, pad_left_, y, lane.gemm());
+  Item out = in.with_data(y);
+  out.dims = {out_channels_, out_len};
   return out;
 }
 

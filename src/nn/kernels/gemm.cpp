@@ -57,12 +57,6 @@ float* grow(std::vector<float>& buf, std::size_t count) {
   return buf.data();
 }
 
-float* grow_zeroed(std::vector<float>& buf, std::size_t count) {
-  buf.assign(count, 0.0f);
-  return buf.data();
-}
-
-
 #if defined(SCALOCATE_GEMM_AVX2)
 // Defined in gemm_avx2.cpp (compiled with -mavx2 -mfma).
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
@@ -135,18 +129,6 @@ std::size_t chunks_for(std::size_t extent, std::size_t min_per_chunk,
   const std::size_t by_extent = extent / min_per_chunk;
   return std::max<std::size_t>(
       1, std::min(budget, std::max<std::size_t>(by_extent, 1)));
-}
-
-/// Balanced static split: chunk `i` of `chunks` over `extent` units gets
-/// [begin, begin + len). The first `extent % chunks` chunks get one extra.
-struct ChunkRange {
-  std::size_t begin, len;
-};
-ChunkRange chunk_range(std::size_t extent, std::size_t chunks, std::size_t i) {
-  const std::size_t q = extent / chunks;
-  const std::size_t r = extent % chunks;
-  const std::size_t begin = i * q + std::min(i, r);
-  return {begin, q + (i < r ? 1 : 0)};
 }
 
 // Threading floor on the partitioned dimension: at least two NR strips of

@@ -46,11 +46,10 @@ static inline float load_any(bool trans, const float* m, std::size_t ld,
   return trans ? m[col * ld + row] : m[row * ld + col];
 }
 
-/// Out-of-line vector growth/zeroing, defined ONLY in gemm.cpp (baseline
-/// ISA): keeps std::vector<float> method instantiations — which contain
+/// Out-of-line vector growth, defined ONLY in gemm.cpp (baseline ISA):
+/// keeps std::vector<float> method instantiations — which contain
 /// vectorizable float loops — out of the AVX2 TU for the same reason.
 float* grow(std::vector<float>& buf, std::size_t count);
-float* grow_zeroed(std::vector<float>& buf, std::size_t count);
 
 /// Packs A[ic..ic+mc) x [pc..pc+kc) into MR-row panels, zero-padding the
 /// ragged last panel so the micro-kernel never branches on bounds.
@@ -350,6 +349,18 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// channels x NR output positions accumulate in vector registers. This
 /// beats im2col+GEMM whenever Cout is small: packing traffic cannot be
 /// amortized over few GEMM rows, and here there is none.
+///
+/// Each output element is one chain: acc = 0 + bias[co], then
+/// acc += x_padded * w for every (ci, tap) in order (one fused multiply-add
+/// per step where the TU has FMA). Items are independent, so a batch-1
+/// call gives every element the bits of the batched call.
+///
+/// The MRC x NV accumulators stay in registers only if every access to them
+/// has a compile-time row index: a row loop bounded by the runtime tail
+/// count would make GCC keep the array on the stack and reload/store it
+/// around the tap loop. So every row loop runs to MRC; the tail rows of a
+/// ragged `cout % MRC` block recompute the last valid row (no memory
+/// outside the weights is read) and their results are not stored.
 template <std::size_t MRC, std::size_t NR>
 void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  const float* w, const float* bias, const float* x,
@@ -362,13 +373,18 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
   typedef float vf __attribute__((vector_size(VL * sizeof(float))));
   const std::size_t wrow_stride = cin * kernel;
 
-  // Zero padding is materialized once into an L1-sized staging copy of the
-  // item (plus NR floats of load slop), so every tap load in the hot loop
-  // is a plain unaligned vector load — no border branches, and the
-  // accumulators are only ever touched with whole-vector ops (a per-lane
-  // subscript would force them onto the stack).
+  // Zero padding is materialized into an L1-sized staging copy of the item
+  // (plus NR floats of load slop), so every tap load in the hot loop is a
+  // plain unaligned vector load with no border branches. Only the pad and
+  // slop columns need zeros: each item's copy rewrites the rest.
   const std::size_t np = pad_left + n + pad_right + NR;
-  float* xpad = grow_zeroed(scratch.pack_a, cin * np);
+  float* xpad = grow(scratch.pack_a, cin * np);
+  for (std::size_t ci = 0; ci < cin; ++ci) {
+    float* row = xpad + ci * np;
+    __builtin_memset(row, 0, pad_left * sizeof(float));
+    __builtin_memset(row + pad_left + n, 0,
+                     (pad_right + NR) * sizeof(float));
+  }
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* xi = x + b * cin * n;
@@ -378,28 +394,34 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                        n * sizeof(float));
     for (std::size_t co0 = 0; co0 < cout; co0 += MRC) {
       const std::size_t mc = std::min(MRC, cout - co0);
+      const float* wrow[MRC];
+      float brow[MRC];
+      for (std::size_t ir = 0; ir < MRC; ++ir) {
+        const std::size_t co = co0 + std::min(ir, mc - 1);
+        wrow[ir] = w + co * wrow_stride;
+        brow[ir] = bias != nullptr ? bias[co] : 0.0f;
+      }
       for (std::size_t j0 = 0; j0 < out_len; j0 += NR) {
         const std::size_t nr = std::min(NR, out_len - j0);
         vf acc[MRC][NV];
-        for (std::size_t ir = 0; ir < MRC; ++ir) {
-          const float bv = (bias != nullptr && ir < mc) ? bias[co0 + ir] : 0.0f;
-          for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + bv;
-        }
+        for (std::size_t ir = 0; ir < MRC; ++ir)
+          for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + brow[ir];
         for (std::size_t ci = 0; ci < cin; ++ci) {
           // Output position j0+jr, tap t reads xpad[ci, j0 + jr + t].
           const float* xrow = xpad + ci * np + j0;
-          const float* wtap = w + (co0 * cin + ci) * kernel;
+          const std::size_t wci = ci * kernel;
           for (std::size_t tap = 0; tap < kernel; ++tap) {
             vf bv[NV];
             for (std::size_t v = 0; v < NV; ++v)
               __builtin_memcpy(&bv[v], xrow + tap + v * VL, sizeof(vf));
-            for (std::size_t ir = 0; ir < mc; ++ir) {
-              const float av = wtap[ir * wrow_stride + tap];
+            for (std::size_t ir = 0; ir < MRC; ++ir) {
+              const float av = wrow[ir][wci + tap];
               for (std::size_t v = 0; v < NV; ++v) acc[ir][v] += bv[v] * av;
             }
           }
         }
-        for (std::size_t ir = 0; ir < mc; ++ir) {
+        for (std::size_t ir = 0; ir < MRC; ++ir) {
+          if (ir >= mc) break;
           float* crow = ob + (co0 + ir) * out_len + j0;
           if (nr == NR) {
             for (std::size_t v = 0; v < NV; ++v)

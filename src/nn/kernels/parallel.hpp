@@ -97,4 +97,17 @@ runtime::ThreadPool* compute_pool();
 void parallel_for(std::size_t chunks,
                   const std::function<void(std::size_t)>& fn);
 
+/// Balanced static split: chunk `i` of `chunks` over `extent` units gets
+/// [begin, begin + len). The first `extent % chunks` chunks get one extra.
+struct ChunkRange {
+  std::size_t begin, len;
+};
+inline ChunkRange chunk_range(std::size_t extent, std::size_t chunks,
+                              std::size_t i) {
+  const std::size_t q = extent / chunks;
+  const std::size_t r = extent % chunks;
+  const std::size_t begin = i * q + (i < r ? i : r);
+  return {begin, q + (i < r ? 1 : 0)};
+}
+
 }  // namespace scalocate::nn::kernels

@@ -61,7 +61,8 @@ void row_sums_add(const float* c, std::size_t rows, std::size_t cols,
 void scale_shift(std::size_t n, const float* x, float a, float b, float* y);
 
 /// Fused BatchNorm forward row: xhat = (x - mean) * inv_std and
-/// y = gamma * xhat + beta in one pass.
+/// y = gamma * xhat + beta in one pass. `xhat` may be null (no cache: the
+/// depth-first eval step), and `y` may alias `x`; y is the same either way.
 void normalize_scale_shift(std::size_t n, const float* x, float mean,
                            float inv_std, float gamma, float beta, float* xhat,
                            float* y);

@@ -7,8 +7,15 @@
 // synchronization (the runtime/ LocatorService relies on this). backward
 // reads the caches the paired forward left in the same workspace, so
 // callers must pass one workspace per in-flight forward/backward pair.
+//
+// Eval-mode forward of a container (Sequential, Residual) runs depth-first:
+// each batch item goes through every layer (Layer::eval_item) before the
+// next item starts, with its activations in workspace slabs that are sized
+// on first use and reused after. See Sequential::forward.
 #pragma once
 
+#include <array>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -32,6 +39,52 @@ struct Param {
 };
 
 class Layer;
+
+/// One batch item (a row of dim 0) in the depth-first eval forward: the
+/// item's floats and its shape, which is the batched shape without the
+/// leading dimension.
+struct Item {
+  static constexpr std::size_t kMaxRank = 4;
+
+  const float* data = nullptr;
+  std::array<std::size_t, kMaxRank> dims{};
+  std::size_t rank = 0;
+  /// The data lives in a lane slab that nothing after the current step
+  /// reads, so a shape-preserving step may overwrite it in place.
+  bool writable = false;
+
+  std::size_t numel() const;
+  bool same_shape(const Item& other) const;
+  /// Same shape, new (writable) data.
+  Item with_data(float* out) const;
+  /// "item (16, 384)" -- for error messages.
+  std::string shape_string() const;
+};
+
+/// Scratch of one depth-first eval chunk: a bump arena of activation slabs
+/// and the kernels' pack buffers. The arena is rewound before every item
+/// and each step pushes a fresh slab, so no live activation is ever
+/// overwritten; since every item of a forward pushes the same slabs, the
+/// slabs keep their storage and a warmed-up lane allocates nothing.
+class EvalLane {
+ public:
+  /// Next slab, grown to hold at least `count` floats.
+  float* push(std::size_t count);
+  /// Output buffer of a shape-preserving step on `in`: `in`'s own slab
+  /// when it is writable (the step runs in place), else a fresh slab.
+  float* output_for(const Item& in);
+  void rewind() { top_ = 0; }
+
+  kernels::GemmScratch& gemm() { return gemm_; }
+  /// The chunk's finished output items, back to back.
+  std::vector<float>& finished() { return finished_; }
+
+ private:
+  std::vector<std::vector<float>> slabs_;
+  std::size_t top_ = 0;
+  kernels::GemmScratch gemm_;
+  std::vector<float> finished_;
+};
 
 /// Pack buffers for the nn::kernels backend, shared by every layer routed
 /// through one workspace. The buffers are transient within a single layer
@@ -69,10 +122,17 @@ class Workspace {
   /// the model, avoiding any per-window staging copies.
   Tensor& staging() { return staging_; }
 
+  /// Scratch of depth-first eval chunk `index`, created on first use.
+  /// Lanes never move once created, but creating one must not race with
+  /// use of another: the eval driver creates every lane it needs before
+  /// it fans out.
+  EvalLane& eval_lane(std::size_t index);
+
  private:
   std::unordered_map<const Layer*, Slot> slots_;
   KernelScratch kernel_scratch_;
   Tensor staging_;
+  std::deque<EvalLane> eval_lanes_;
 };
 
 /// Base class of all layers/modules. Forward is const: it may read
@@ -81,16 +141,27 @@ class Workspace {
 /// statistics, which are updated in training mode only (training-mode
 /// forward passes are therefore not thread-safe; eval-mode passes are).
 ///
-/// In eval mode the stateless layers skip their backward-only caches
-/// entirely (no input copies on the serving path) and clear the slot, so
-/// backward after an eval-mode forward throws. BatchNorm1d still caches in
-/// eval mode: its eval-mode backward is part of the tested contract.
+/// In eval mode no backward-only cache is kept on the serving path: the
+/// containers' depth-first forward caches nothing and clears the
+/// workspace's slots, and the stateless leaves' own batched forward
+/// clears their slot, so backward after an eval-mode forward throws. The
+/// one exception is BatchNorm1d's own batched forward, which still caches
+/// xhat in eval mode: its eval-mode backward is part of the tested
+/// contract.
 class Layer {
  public:
   virtual ~Layer() = default;
 
   /// Computes outputs for a batch, caching into `ws` what backward needs.
   virtual Tensor forward(const Tensor& input, Workspace& ws) const = 0;
+
+  /// Eval-mode forward of ONE batch item, the step of the containers'
+  /// depth-first eval forward: reads `in` and returns the output item,
+  /// written into a slab of `lane` (or, for a shape-preserving step on a
+  /// writable item, into `in` itself). Each leaf calls the same kernel as
+  /// its batched eval forward, with the same operand order, so the
+  /// result is bit-identical to that forward's row.
+  virtual Item eval_item(const Item& in, EvalLane& lane) const = 0;
 
   /// Given dLoss/dOutput and the workspace of the paired forward,
   /// accumulates parameter gradients and returns dLoss/dInput.

@@ -34,6 +34,22 @@ Tensor Linear::forward(const Tensor& input, Workspace& ws) const {
   return out;
 }
 
+Item Linear::eval_item(const Item& in, EvalLane& lane) const {
+  if (in.rank != 1 || in.dims[0] != in_features_)
+    throw InvalidArgument("Linear::eval_item: expected [" +
+                          std::to_string(in_features_) + "], got " +
+                          in.shape_string());
+  float* y = lane.push(out_features_);
+  // forward's two kernel calls with one row.
+  kernels::sgemm(false, true, 1, out_features_, in_features_, 1.0f, in.data,
+                 in_features_, weight_.value.data(), in_features_, 0.0f, y,
+                 out_features_, lane.gemm());
+  kernels::add_bias_cols(y, bias_.value.data(), 1, out_features_);
+  Item out = in.with_data(y);
+  out.dims = {out_features_};
+  return out;
+}
+
 Tensor Linear::backward(const Tensor& grad_output, Workspace& ws) {
   const Tensor& input = ws.slot(this).a;
   detail::require(input.numel() > 0, "Linear::backward before forward");

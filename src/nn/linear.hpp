@@ -13,6 +13,7 @@ class Linear final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override;

@@ -7,6 +7,35 @@
 
 namespace scalocate::nn {
 
+namespace {
+
+/// Max pooling of `rows` rows of length n into rows of length out_len,
+/// recording each winner's position in `indices` unless it is null.
+void max_pool_rows(const float* x, std::size_t rows, std::size_t n,
+                   std::size_t out_len, std::size_t kernel,
+                   std::size_t stride, float* y, std::size_t* indices) {
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* row = x + r * n;
+    float* orow = y + r * out_len;
+    std::size_t* irow = indices != nullptr ? indices + r * out_len : nullptr;
+    for (std::size_t j = 0; j < out_len; ++j) {
+      const std::size_t base = j * stride;
+      float best = row[base];
+      std::size_t best_i = base;
+      for (std::size_t k = 1; k < kernel; ++k) {
+        if (row[base + k] > best) {
+          best = row[base + k];
+          best_i = base + k;
+        }
+      }
+      orow[j] = best;
+      if (irow != nullptr) irow[j] = best_i;
+    }
+  }
+}
+
+}  // namespace
+
 Tensor GlobalAvgPool1d::forward(const Tensor& input, Workspace& ws) const {
   detail::require(input.rank() == 3,
                   "GlobalAvgPool1d::forward: expected [B, C, N], got " +
@@ -26,6 +55,23 @@ Tensor GlobalAvgPool1d::forward(const Tensor& input, Workspace& ws) const {
       out.at(b, c) = static_cast<float>(kernels::sum(n, row) * inv_n);
     }
   }
+  return out;
+}
+
+Item GlobalAvgPool1d::eval_item(const Item& in, EvalLane& lane) const {
+  if (in.rank != 2 || in.dims[1] < 1)
+    throw InvalidArgument(
+        "GlobalAvgPool1d::eval_item: expected a non-empty [C, N], got " +
+        in.shape_string());
+  const std::size_t channels = in.dims[0];
+  const std::size_t n = in.dims[1];
+  float* y = lane.push(channels);
+  const double inv_n = 1.0 / static_cast<double>(n);
+  for (std::size_t c = 0; c < channels; ++c)
+    y[c] = static_cast<float>(kernels::sum(n, in.data + c * n) * inv_n);
+  Item out = in.with_data(y);
+  out.rank = 1;
+  out.dims = {channels};
   return out;
 }
 
@@ -79,25 +125,22 @@ Tensor MaxPool1d::forward(const Tensor& input, Workspace& ws) const {
   if (training_) slot.indices.resize(batch * channels * out_len);
 
   Tensor out({batch, channels, out_len});
-  for (std::size_t bc = 0; bc < batch * channels; ++bc) {
-    const float* row = input.data() + bc * n;
-    float* orow = out.data() + bc * out_len;
-    std::size_t* irow =
-        training_ ? slot.indices.data() + bc * out_len : nullptr;
-    for (std::size_t j = 0; j < out_len; ++j) {
-      const std::size_t base = j * stride_;
-      float best = row[base];
-      std::size_t best_i = base;
-      for (std::size_t k = 1; k < kernel_size_; ++k) {
-        if (row[base + k] > best) {
-          best = row[base + k];
-          best_i = base + k;
-        }
-      }
-      orow[j] = best;
-      if (irow != nullptr) irow[j] = best_i;
-    }
-  }
+  max_pool_rows(input.data(), batch * channels, n, out_len, kernel_size_,
+                stride_, out.data(),
+                training_ ? slot.indices.data() : nullptr);
+  return out;
+}
+
+Item MaxPool1d::eval_item(const Item& in, EvalLane& lane) const {
+  if (in.rank != 2)
+    throw InvalidArgument("MaxPool1d::eval_item: expected [C, N], got " +
+                          in.shape_string());
+  const std::size_t out_len = output_length(in.dims[1]);
+  float* y = lane.push(in.dims[0] * out_len);
+  max_pool_rows(in.data, in.dims[0], in.dims[1], out_len, kernel_size_,
+                stride_, y, nullptr);
+  Item out = in.with_data(y);
+  out.dims[1] = out_len;
   return out;
 }
 

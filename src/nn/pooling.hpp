@@ -20,6 +20,7 @@ class GlobalAvgPool1d final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::string name() const override { return "GlobalAvgPool1d"; }
 };
@@ -33,6 +34,7 @@ class MaxPool1d final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::string name() const override;
 

@@ -2,6 +2,19 @@
 // ResNet shortcut y = F(x) + P(x), where P is the identity when shapes
 // match and a 1x1 projection convolution otherwise (the paper's second
 // residual block widens 16 -> 32 channels).
+//
+// In eval mode both run depth-first: batch item b goes through every
+// child (Layer::eval_item) before item b+1 starts. One item's activations
+// (at most 32 x 384 floats per layer for the paper model at Ninf = 384)
+// stay in L1/L2 instead of the whole batch's going through memory once per
+// layer, and the slabs they live in are reused, so a warmed-up workspace
+// allocates nothing but the returned tensor. At an intra-op budget above 1
+// and a batch above 1 the items are split across the compute pool once per
+// forward (one workspace lane per chunk, kernels single-threaded inside);
+// at batch 1 the kernels keep their own intra-op split. Either way every
+// element comes from the same kernel call, in the same operand order, as
+// the layer-by-layer composition of the leaves' batched eval forwards, so
+// the output is bit-identical to it at every budget (tests/test_nn_eval.cpp).
 #pragma once
 
 #include <memory>
@@ -28,6 +41,7 @@ class Sequential : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override;
   std::vector<std::vector<float>*> buffers() override;
@@ -55,6 +69,7 @@ class Residual final : public Layer {
   using Layer::backward;
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
+  Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override;
   std::vector<std::vector<float>*> buffers() override;
@@ -63,6 +78,8 @@ class Residual final : public Layer {
 
   Layer& main() { return *main_; }
   bool has_projection() const { return projection_ != nullptr; }
+  /// The shortcut's projection, or null for an identity shortcut.
+  Layer* projection() { return projection_.get(); }
 
  private:
   LayerPtr main_;

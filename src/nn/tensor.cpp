@@ -31,7 +31,10 @@ Tensor Tensor::from_data(std::vector<std::size_t> shape,
 }
 
 std::size_t Tensor::dim(std::size_t axis) const {
-  detail::require(axis < shape_.size(), "Tensor::dim: axis out of range");
+  // Not detail::require: its std::string message would allocate on every
+  // call, and dim() runs on every forward.
+  if (axis >= shape_.size())
+    throw InvalidArgument("Tensor::dim: axis out of range");
   return shape_[axis];
 }
 

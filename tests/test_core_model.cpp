@@ -2,13 +2,16 @@
 // zero-copy sliding-window scoring path built on top of it.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/dataset.hpp"
 #include "core/model.hpp"
 #include "core/sliding_window.hpp"
+#include "nn/kernels/parallel.hpp"
 #include "nn/loss.hpp"
 
 namespace scalocate::core {
@@ -108,6 +111,16 @@ std::vector<float> random_trace(std::size_t n, std::uint64_t seed) {
   return t;
 }
 
+/// Scores must match bit for bit (README: detections are bit-identical on
+/// every path), which EXPECT_FLOAT_EQ's 4-ULP slack would not catch.
+void expect_same_bits(std::span<const float> a, std::span<const float> b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i)
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << "window " << i << ": " << a[i] << " vs " << b[i];
+}
+
 TEST(SlidingWindow, NumWindowsEdgeCases) {
   auto net = build_paper_cnn(CnnConfig::scaled());
   net->set_training(false);
@@ -128,9 +141,7 @@ TEST(SlidingWindow, ScoreIntoMatchesClassify) {
   const auto result = c.classify(trace, ws_a);
   std::vector<float> scores(c.num_windows(trace.size()), -1e30f);
   c.score_into(trace, scores, ws_b);
-  ASSERT_EQ(result.scores.size(), scores.size());
-  for (std::size_t i = 0; i < scores.size(); ++i)
-    EXPECT_FLOAT_EQ(result.scores[i], scores[i]) << "window " << i;
+  expect_same_bits(result.scores, scores);
 }
 
 TEST(SlidingWindow, ZeroCopyPathMatchesExplicitStaging) {
@@ -155,24 +166,31 @@ TEST(SlidingWindow, ZeroCopyPathMatchesExplicitStaging) {
     std::copy(buf.begin(), buf.end(), one.data());
     c.score_batch(one, manual.data() + i, ws);
   }
-  ASSERT_EQ(fast.scores.size(), manual.size());
-  for (std::size_t i = 0; i < n_windows; ++i)
-    EXPECT_FLOAT_EQ(fast.scores[i], manual[i]) << "window " << i;
+  expect_same_bits(fast.scores, manual);
 }
 
 TEST(SlidingWindow, BatchSizeDoesNotChangeScores) {
-  // Batch grouping is an implementation detail: each row is independent,
-  // so any batch size must give identical scores.
+  // Batch grouping and the intra-op budget are implementation details:
+  // each row is independent, so every batch size and budget must give
+  // bit-identical scores.
   auto net = build_paper_cnn(CnnConfig::scaled());
   net->set_training(false);
   const auto trace = random_trace(1800, 17);
-  SlidingWindowClassifier c1(*net, 192, 48, 1);
-  SlidingWindowClassifier c64(*net, 192, 48, 64);
-  const auto a = c1.classify(trace);
-  const auto b = c64.classify(trace);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  for (std::size_t i = 0; i < a.scores.size(); ++i)
-    EXPECT_FLOAT_EQ(a.scores[i], b.scores[i]);
+  std::vector<float> ref;
+  {
+    nn::kernels::IntraOpGuard serial(1);
+    ref = SlidingWindowClassifier(*net, 192, 48, 1).classify(trace).scores;
+  }
+  ASSERT_FALSE(ref.empty());
+  for (std::size_t batch : {1u, 7u, 64u}) {
+    for (std::size_t budget : {1u, 3u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", budget " +
+                   std::to_string(budget));
+      nn::kernels::IntraOpGuard intra(budget);
+      const SlidingWindowClassifier c(*net, 192, 48, batch);
+      expect_same_bits(c.classify(trace).scores, ref);
+    }
+  }
 }
 
 }  // namespace

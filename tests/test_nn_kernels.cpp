@@ -1,7 +1,12 @@
 // Kernel-backend parity suite: the blocked GEMM path vs the naive
-// reference kernels, im2col/col2im round trips, the fused pointwise ops,
-// Tensor reshape/view semantics, and gradient checks routed through the
-// new backend (Conv1d/Linear/MaxPool1d).
+// reference kernels, the direct conv's arithmetic (a known-answer chain on
+// the AVX2 tile, parity for the portable tile), im2col/col2im round trips,
+// the fused pointwise ops, Tensor reshape/view semantics, and gradient
+// checks routed through the new backend (Conv1d/Linear/MaxPool1d).
+//
+// This TU is built for the baseline ISA, so the only tile it may
+// instantiate from gemm_blocked.hpp is the portable <4, 8> one (see the
+// COMDAT note there).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,6 +21,7 @@
 #include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/gemm.hpp"
+#include "nn/kernels/gemm_blocked.hpp"
 #include "nn/kernels/pack.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
@@ -48,6 +54,15 @@ void expect_close(std::span<const float> a, std::span<const float> b,
     const float denom = std::max({1.0f, std::fabs(a[i]), std::fabs(b[i])});
     ASSERT_NEAR(a[i], b[i], tol * denom) << what << " at index " << i;
   }
+}
+
+void expect_bit_equal(std::span<const float> a, std::span<const float> b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << what << " at index " << i << ": " << a[i] << " vs " << b[i];
 }
 
 // ---------------------------------------------------------------------------
@@ -227,6 +242,132 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvShape{1, 2, 2, 5, 3, 29, 0},    // no pad, stride 3
                       ConvShape{3, 4, 4, 7, 1, 21, 2}));  // explicit pad
 
+// ---------------------------------------------------------------------------
+// Direct (stride-1) conv: exact arithmetic of both tiles
+// ---------------------------------------------------------------------------
+
+struct DirectConvCase {
+  std::size_t batch, cin, cout, k, out_len;
+  std::size_t pad_left() const { return (k - 1) / 2; }  // "same" padding
+};
+
+/// Ragged cout (5, 33: not a multiple of the 4-row block) and out_len (37,
+/// 193: not a multiple of either tile width), k and cin in {1, 16}, batch
+/// 1 and 3; stride 1 with "same" padding, so n == out_len.
+std::vector<DirectConvCase> ragged_direct_cases() {
+  std::vector<DirectConvCase> cases;
+  for (std::size_t batch : {1u, 3u})
+    for (std::size_t cin : {1u, 16u})
+      for (std::size_t cout : {5u, 33u})
+        for (std::size_t k : {1u, 16u})
+          for (std::size_t out_len : {37u, 193u})
+            cases.push_back({batch, cin, cout, k, out_len});
+  return cases;
+}
+
+struct DirectConvData {
+  std::vector<float> x, w, bias;
+  explicit DirectConvData(const DirectConvCase& c)
+      : x(random_vec(c.batch * c.cin * c.out_len, 601)),
+        w(random_vec(c.cout * c.cin * c.k, 603)),
+        bias(random_vec(c.cout, 605)) {}
+};
+
+std::string describe(const DirectConvCase& c) {
+  return "batch " + std::to_string(c.batch) + ", cin " +
+         std::to_string(c.cin) + ", cout " + std::to_string(c.cout) +
+         ", k " + std::to_string(c.k) + ", out_len " +
+         std::to_string(c.out_len);
+}
+
+#if defined(__x86_64__)
+/// The chain the AVX2 direct conv computes for every output element:
+/// acc = 0 + bias[co], then one fused multiply-add per (ci, tap) in that
+/// order, reading the zero-padded input.
+std::vector<float> conv_fma_chain(const DirectConvCase& c,
+                                  const DirectConvData& d) {
+  const std::size_t n = c.out_len;
+  std::vector<float> out(c.batch * c.cout * c.out_len);
+  for (std::size_t b = 0; b < c.batch; ++b)
+    for (std::size_t co = 0; co < c.cout; ++co)
+      for (std::size_t j = 0; j < c.out_len; ++j) {
+        float acc = 0.0f + d.bias[co];
+        for (std::size_t ci = 0; ci < c.cin; ++ci)
+          for (std::size_t tap = 0; tap < c.k; ++tap) {
+            const std::ptrdiff_t at = static_cast<std::ptrdiff_t>(j + tap) -
+                                      static_cast<std::ptrdiff_t>(c.pad_left());
+            const float xv =
+                at >= 0 && at < static_cast<std::ptrdiff_t>(n)
+                    ? d.x[(b * c.cin + ci) * n + static_cast<std::size_t>(at)]
+                    : 0.0f;
+            acc = std::fma(xv, d.w[(co * c.cin + ci) * c.k + tap], acc);
+          }
+        out[(b * c.cout + co) * c.out_len + j] = acc;
+      }
+  return out;
+}
+#endif
+
+TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
+  // ConvParity's 1e-4 tolerance cannot see a reordered or re-associated
+  // accumulation, but the benchmark's detection digests can.
+#if defined(__x86_64__)
+  // CMake always builds the AVX2 TU on x86-64, and sgemm_conv picks it
+  // whenever cpuid reports both features.
+  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
+    GTEST_SKIP() << "host lacks AVX2+FMA: sgemm_conv runs the portable tile";
+  kernels::IntraOpGuard serial(1);
+  for (const DirectConvCase& c : ragged_direct_cases()) {
+    SCOPED_TRACE(describe(c));
+    const DirectConvData d(c);
+    std::vector<float> out(c.batch * c.cout * c.out_len,
+                           std::numeric_limits<float>::quiet_NaN());
+    kernels::GemmScratch scratch;
+    kernels::sgemm_conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
+                        d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
+                        out.data(), scratch);
+    expect_bit_equal(out, conv_fma_chain(c, d), "avx2 direct conv");
+  }
+#else
+  GTEST_SKIP() << "the AVX2 tile exists only in x86-64 builds";
+#endif
+}
+
+TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
+  // Dispatch is cpuid-only, so on an AVX2 host the portable tile runs
+  // nowhere else; call it directly.
+  for (const DirectConvCase& c : ragged_direct_cases()) {
+    SCOPED_TRACE(describe(c));
+    const DirectConvData d(c);
+    const std::size_t n = c.out_len;
+    const std::size_t out_item = c.cout * c.out_len;
+    std::vector<float> out(c.batch * out_item,
+                           std::numeric_limits<float>::quiet_NaN());
+    kernels::GemmScratch scratch;
+    kernels::detail::sgemm_conv_blocked<4, 8>(
+        c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(), d.x.data(),
+        c.cin, n, c.k, 1, c.pad_left(), out.data(), scratch);
+
+    std::vector<float> ref(c.batch * out_item);
+    kernels::conv1d_forward_naive(d.x.data(), c.batch, c.cin, n, d.w.data(),
+                                  d.bias.data(), c.cout, c.k, 1, c.pad_left(),
+                                  c.out_len, ref.data());
+    expect_close(out, ref, 1e-4f, "portable direct conv vs naive");
+
+    for (std::size_t b = 0; b < c.batch; ++b) {
+      std::vector<float> one(out_item, std::numeric_limits<float>::quiet_NaN());
+      kernels::detail::sgemm_conv_blocked<4, 8>(
+          c.cout, c.out_len, 1, d.w.data(), d.bias.data(),
+          d.x.data() + b * c.cin * n, c.cin, n, c.k, 1, c.pad_left(),
+          one.data(), scratch);
+      expect_bit_equal(
+          one,
+          std::span<const float>(out).subspan(b * out_item, out_item),
+          "portable direct conv, batch-1 call vs batched row");
+    }
+  }
+}
+
 TEST(LinearParity, ForwardAndBackwardMatchReference) {
   Linear lin(37, 11);
   Rng rng(29);
@@ -296,15 +437,6 @@ TEST(KernelGradcheck, LinearThroughGemmBackend) {
 // tolerance). ParallelGrainGuard(1) forces even these small shapes through
 // the parallel path; on a single-core machine the chunks still execute
 // (oversubscribed), so the coverage does not depend on the host's cores.
-
-void expect_bit_equal(std::span<const float> a, std::span<const float> b,
-                      const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
-              std::bit_cast<std::uint32_t>(b[i]))
-        << what << " at index " << i << ": " << a[i] << " vs " << b[i];
-}
 
 TEST(GemmThreaded, BitIdenticalAcrossThreadCounts) {
   kernels::ParallelGrainGuard grain(1);

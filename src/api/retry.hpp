@@ -14,7 +14,7 @@
 // Backoff doubles per attempt (initial_backoff * multiplier^k, capped at
 // max_backoff) and each delay is jittered uniformly into [backoff/2,
 // backoff] so a fleet of clients rejected by one Overloaded burst does not
-// re-arrive in lockstep and cause the next one.
+// re-arrive all at once and cause the next one.
 #pragma once
 
 #include <algorithm>

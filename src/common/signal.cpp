@@ -8,14 +8,6 @@
 
 namespace scalocate::signal {
 
-std::vector<float> threshold_square_wave(std::span<const float> xs,
-                                         float threshold) {
-  std::vector<float> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    out[i] = xs[i] >= threshold ? 1.0f : -1.0f;
-  return out;
-}
-
 float median_of(std::span<const float> xs, std::vector<float>& scratch) {
   detail::require(!xs.empty(), "signal::median_of: empty neighborhood");
   scratch.assign(xs.begin(), xs.end());
@@ -44,20 +36,6 @@ std::vector<float> median_filter(std::span<const float> xs, std::size_t k) {
     const std::size_t hi = std::min(n - 1, i + half);
     out[i] = median_of(xs.subspan(lo, hi - lo + 1), scratch);
   }
-  return out;
-}
-
-std::vector<std::size_t> rising_edges(std::span<const float> xs) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 1; i < xs.size(); ++i)
-    if (xs[i - 1] < 0.0f && xs[i] >= 0.0f) out.push_back(i);
-  return out;
-}
-
-std::vector<std::size_t> falling_edges(std::span<const float> xs) {
-  std::vector<std::size_t> out;
-  for (std::size_t i = 1; i < xs.size(); ++i)
-    if (xs[i - 1] >= 0.0f && xs[i] < 0.0f) out.push_back(i);
   return out;
 }
 

@@ -1,10 +1,11 @@
 // 1-D signal processing primitives.
 //
 // These implement the classic DSP blocks the paper's pipeline is built
-// from: the Segmentation stage (threshold -> square wave -> median filter
-// -> rising-edge extraction, Section III-D) and the correlation machinery
-// used by the baseline locators (matched filter [10] and waveform
-// matching [11]).
+// from: the median filter of the Segmentation stage (Section III-D; the
+// threshold and edge scan around it live in core::Detector), the
+// smoothing and normalized correlation of the template snap, and the
+// correlation machinery used by the baseline locators (matched filter [10]
+// and waveform matching [11]).
 #pragma once
 
 #include <cstddef>
@@ -13,17 +14,12 @@
 
 namespace scalocate::signal {
 
-/// Thresholds a signal into a +/-1 square wave: out[i] = +1 when
-/// xs[i] >= threshold, else -1 (Section III-D, "Th" block).
-std::vector<float> threshold_square_wave(std::span<const float> xs,
-                                         float threshold);
-
 /// Median of a (possibly even-sized) neighborhood, exactly as the sliding
 /// median filter computes it at borders: odd sizes take the middle order
 /// statistic, even sizes average the two middle ones. `scratch` is
 /// overwritten (kept as a parameter so hot loops can reuse the allocation).
-/// Exposed so the streaming runtime reproduces the offline filter
-/// bit-for-bit on truncated border windows.
+/// core::Detector filters incrementally through it, one neighborhood at a
+/// time, so it matches median_filter bit for bit, border windows included.
 float median_of(std::span<const float> xs, std::vector<float>& scratch);
 
 /// Sliding median filter of odd window size k (Section III-D, "MF" block).
@@ -31,13 +27,6 @@ float median_of(std::span<const float> xs, std::vector<float>& scratch);
 /// neighbors), which keeps the output length equal to the input length.
 /// k must be odd and >= 1.
 std::vector<float> median_filter(std::span<const float> xs, std::size_t k);
-
-/// Indices i such that xs[i-1] < 0 <= xs[i] (a -1 -> +1 transition in a
-/// square wave). Returns the index of the first +1 sample of each edge.
-std::vector<std::size_t> rising_edges(std::span<const float> xs);
-
-/// Indices i such that xs[i-1] >= 0 > xs[i].
-std::vector<std::size_t> falling_edges(std::span<const float> xs);
 
 /// Moving average of window k (k >= 1); same-length output, borders shrink.
 std::vector<float> moving_average(std::span<const float> xs, std::size_t k);

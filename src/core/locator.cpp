@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/error.hpp"
 #include "common/signal.hpp"
@@ -73,36 +74,29 @@ SegmenterConfig CoLocator::segmenter_config() const {
   return seg_cfg;
 }
 
-std::size_t CoLocator::refine_in_region(std::span<const float> region,
-                                        std::size_t region_begin) const {
-  // Best normalized correlation of the template in the local search range.
-  // Both sides are lightly smoothed so the single-sample data-dependent
-  // term does not dominate the envelope match.
-  const auto region_s = signal::moving_average(region, 5);
-  const auto ncc = signal::normalized_cross_correlate(region_s, fine_template_);
-  if (ncc.empty()) return region_begin;
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < ncc.size(); ++i)
-    if (ncc[i] > ncc[best]) best = i;
-  return region_begin + best;
+DetectorConfig CoLocator::detector_config(float threshold) const {
+  const PipelineParams& p = config_.params;
+  DetectorConfig dc;
+  dc.threshold = threshold;
+  dc.stride = p.stride;
+  dc.median_k = Segmenter::resolve_median_k(segmenter_config(), p.stride,
+                                            p.n_inf);
+  dc.merge_gap = p.merge_gap_windows;
+  dc.coarse_offset = coarse_offset_;
+  if (config_.fine_align) {
+    dc.fine_template = fine_template_;
+    dc.search_radius = fine_search_radius();
+    dc.fine_offset = fine_offset_;
+  }
+  if (config_.min_separation_fraction > 0.0 && mean_co_length_ > 0.0)
+    dc.min_separation = static_cast<std::size_t>(
+        config_.min_separation_fraction * mean_co_length_);
+  return dc;
 }
 
-std::size_t CoLocator::refine_start(std::span<const float> trace_samples,
-                                    std::size_t coarse_start) const {
-  if (fine_template_.empty()) return coarse_start;
-  const std::size_t len = fine_template_.size();
-  const auto radius = static_cast<std::ptrdiff_t>(fine_search_radius());
-  const std::ptrdiff_t lo = std::max<std::ptrdiff_t>(
-      0, static_cast<std::ptrdiff_t>(coarse_start) - radius);
-  const std::ptrdiff_t hi = std::min<std::ptrdiff_t>(
-      static_cast<std::ptrdiff_t>(trace_samples.size()) -
-          static_cast<std::ptrdiff_t>(len),
-      static_cast<std::ptrdiff_t>(coarse_start) + radius);
-  if (hi < lo) return coarse_start;
-
-  const std::span<const float> region(trace_samples.data() + lo,
-                                      static_cast<std::size_t>(hi - lo) + len);
-  return refine_in_region(region, static_cast<std::size_t>(lo));
+std::size_t CoLocator::refine_in_region(std::span<const float> region,
+                                        std::size_t region_begin) const {
+  return snap_to_template(region, region_begin, fine_template_);
 }
 
 namespace {
@@ -165,70 +159,45 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
   const auto half_co = static_cast<std::ptrdiff_t>(mean_co_length_ / 2.0);
   coarse_offset_ = median_offset(seg.co_starts, truth, half_co);
 
-  // Stage 2: apply the coarse correction, refine with the template, and
-  // measure the residual.
+  // Stage 2: place each raw edge with the coarse correction and the
+  // template snap, and measure the residual. Raw-edge order matters:
+  // median_offset breaks distance ties by list order.
   if (!config_.fine_align) return;
+  DetectorConfig stage2 = detector_config(seg.threshold_used);
+  stage2.fine_offset = 0;
+  const Detector placer(stage2);
   std::vector<std::size_t> refined;
   refined.reserve(seg.co_starts.size());
-  for (std::size_t raw : seg.co_starts) {
-    const std::ptrdiff_t corrected =
-        static_cast<std::ptrdiff_t>(raw) - coarse_offset_;
-    const std::size_t base =
-        corrected < 0 ? 0 : static_cast<std::size_t>(corrected);
-    refined.push_back(refine_start(cal_trace, base));
-  }
+  for (std::size_t raw : seg.co_starts)
+    refined.push_back(*placer.place(raw, cal_trace, 0, /*eof=*/true));
   fine_offset_ = median_offset(refined, truth, half_co);
-}
-
-CoLocator::Located CoLocator::locate_detailed(
-    std::span<const float> trace_samples, nn::Workspace& ws) const {
-  detail::require(trained_,
-                  "CoLocator::locate: train() or from_artifact() first");
-  Located out;
-  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
-                                     config_.params.stride);
-  out.swc = classifier.classify(trace_samples, ws);
-  out.segmentation = Segmenter(segmenter_config()).segment(out.swc);
-
-  out.co_starts.reserve(out.segmentation.co_starts.size());
-  for (std::size_t raw : out.segmentation.co_starts) {
-    // Coarse correction -> template refinement -> residual correction.
-    std::ptrdiff_t pos = static_cast<std::ptrdiff_t>(raw) - coarse_offset_;
-    std::size_t start = pos < 0 ? 0 : static_cast<std::size_t>(pos);
-    if (config_.fine_align) {
-      start = refine_start(trace_samples, start);
-      pos = static_cast<std::ptrdiff_t>(start) - fine_offset_;
-      start = pos < 0 ? 0 : static_cast<std::size_t>(pos);
-    }
-    out.co_starts.push_back(start);
-  }
-  std::sort(out.co_starts.begin(), out.co_starts.end());
-
-  // Duplicate suppression: a CO cannot restart within a fraction of its own
-  // length, so later detections inside that horizon are echoes of the same
-  // plateau (classifier glitches re-crossing the threshold).
-  if (config_.min_separation_fraction > 0.0 && mean_co_length_ > 0.0) {
-    const auto min_gap = static_cast<std::size_t>(
-        config_.min_separation_fraction * mean_co_length_);
-    std::vector<std::size_t> deduped;
-    for (std::size_t s : out.co_starts) {
-      if (deduped.empty() || s >= deduped.back() + min_gap)
-        deduped.push_back(s);
-    }
-    out.co_starts = std::move(deduped);
-  }
-  return out;
-}
-
-CoLocator::Located CoLocator::locate_detailed(
-    std::span<const float> trace_samples) const {
-  nn::Workspace ws;
-  return locate_detailed(trace_samples, ws);
 }
 
 std::vector<std::size_t> CoLocator::locate(std::span<const float> trace_samples,
                                            nn::Workspace& ws) const {
-  return locate_detailed(trace_samples, ws).co_starts;
+  detail::require(trained_,
+                  "CoLocator::locate: train() or from_artifact() first");
+  // Checked before scoring: one NaN would propagate through window
+  // standardization into every score of every window containing it.
+  const auto bad = std::count_if(trace_samples.begin(), trace_samples.end(),
+                                 [](float s) { return !std::isfinite(s); });
+  if (bad > 0)
+    throw CorruptSignal("CoLocator::locate: trace contains " +
+                        std::to_string(bad) + " non-finite sample(s)");
+
+  SlidingWindowClassifier classifier(*model_, config_.params.n_inf,
+                                     config_.params.stride);
+  const SlidingWindowResult swc = classifier.classify(trace_samples, ws);
+  if (swc.scores.empty()) return {};
+  Detector detector(detector_config(
+      Segmenter::resolve_threshold(segmenter_config(), swc.scores)));
+  detector.push(swc.scores);
+  std::vector<Detection> found;
+  detector.advance(trace_samples, 0, /*eof=*/true, found);
+  std::vector<std::size_t> starts;
+  starts.reserve(found.size());
+  for (const Detection& d : found) starts.push_back(d.start);
+  return starts;
 }
 
 std::vector<std::size_t> CoLocator::locate(

@@ -9,12 +9,13 @@
 // and subtract it at inference; the paper folds the same correction into
 // the CPA's "minor aggregation over time".
 //
-// Inference phase (Figure 1, right): sliding-window classification ->
-// segmentation -> alignment. Inference is const and thread-safe: the model
-// is only read, and all per-call scratch lives in an nn::Workspace, so one
-// trained CoLocator can serve concurrent locate() calls (see
-// runtime/locator_service) or drive incremental detection (see
-// runtime/streaming_locator).
+// Inference phase (Figure 1, right): sliding-window classification, then
+// every later stage (segmentation, offsets, template snap, dedup) in the
+// one core::Detector that runtime/streaming_locator also drives, so
+// streamed detections equal locate() by construction. Inference is const
+// and thread-safe: the model is only read, and all per-call scratch lives
+// in an nn::Workspace, so one trained CoLocator can serve concurrent
+// locate() calls (see runtime/locator_service).
 #pragma once
 
 #include <memory>
@@ -22,6 +23,7 @@
 
 #include "core/alignment.hpp"
 #include "core/dataset.hpp"
+#include "core/detector.hpp"
 #include "core/model.hpp"
 #include "core/params.hpp"
 #include "core/segmentation.hpp"
@@ -38,14 +40,14 @@ struct LocatorConfig {
   std::size_t calibration_captures = 16;
   /// Sub-stride refinement: after segmentation, each located start is
   /// snapped to the best local match of a short mean-start template within
-  /// +/-stride samples. This removes the stride quantization of the rising
-  /// edge (the paper's CPA absorbs it with time aggregation instead; we do
-  /// both and benchmark the difference in bench_ablations).
+  /// +/-fine_search_radius() samples. This removes the stride quantization
+  /// of the rising edge (the paper's CPA absorbs it with time aggregation
+  /// instead; we do both and benchmark the difference in bench_ablations).
   bool fine_align = true;
   /// Length of the fine-alignment template (clamped to n_inf).
   std::size_t fine_template_length = 256;
   /// Search radius of the fine-alignment snap around the corrected rising
-  /// edge. 0 = automatic (max(2*stride, 160) samples).
+  /// edge. 0 = automatic (n_inf + 4*stride samples).
   std::size_t fine_search_radius = 0;
   /// Two detections closer than this fraction of the mean CO length are
   /// duplicates of the same CO; the earlier one is kept. 0 disables.
@@ -62,22 +64,12 @@ class CoLocator {
   TrainReport train(const trace::CipherAcquisition& ciphers,
                     const trace::Trace& noise);
 
-  /// Locates CO starts in a new trace (offset-corrected sample indices).
-  /// Thread-safe on a trained locator when each caller passes its own
-  /// workspace.
+  /// Locates CO starts in a new trace (offset-corrected sample indices,
+  /// ascending). Throws CorruptSignal when a sample is NaN/Inf. Thread-safe
+  /// on a trained locator when each caller passes its own workspace.
   std::vector<std::size_t> locate(std::span<const float> trace_samples,
                                   nn::Workspace& ws) const;
   std::vector<std::size_t> locate(std::span<const float> trace_samples) const;
-
-  /// Full diagnostics: swc scores, square wave, filtered wave, raw starts.
-  struct Located {
-    SlidingWindowResult swc;
-    Segmentation segmentation;
-    std::vector<std::size_t> co_starts;  ///< offset-corrected
-  };
-  Located locate_detailed(std::span<const float> trace_samples,
-                          nn::Workspace& ws) const;
-  Located locate_detailed(std::span<const float> trace_samples) const;
 
   /// Locates and cuts aligned segments in one call.
   AlignedTraces locate_and_align(std::span<const float> trace_samples,
@@ -120,9 +112,15 @@ class CoLocator {
 
   // --- hooks for the streaming runtime (runtime/streaming_locator) ---------
 
-  /// The segmenter configuration locate_detailed uses (threshold, median
-  /// filter size, expected CO length), derived from params + calibration.
+  /// The segmenter configuration locate uses (threshold, median filter
+  /// size, expected CO length), derived from params + calibration.
   SegmenterConfig segmenter_config() const;
+
+  /// The core::Detector stages locate and the streaming runtime run, for a
+  /// resolved decision `threshold`: median size, merge gap, calibrated
+  /// offsets, fine template and radius (when fine_align), and the dedup
+  /// separation.
+  DetectorConfig detector_config(float threshold) const;
 
   /// Decision threshold measured on the calibration trace (Otsu). Only
   /// meaningful after train(); NaN before. Streaming inference falls back
@@ -137,19 +135,16 @@ class CoLocator {
   /// Effective fine-alignment search radius around a corrected start.
   std::size_t fine_search_radius() const;
 
-  /// Template-snap core shared by the offline and streaming paths: `region`
+  /// core::snap_to_template with this locator's fine template: `region`
   /// holds the absolute trace samples [region_begin, region_begin +
-  /// region.size()) covering every candidate template placement
-  /// [lo, hi + template length); returns the absolute start with the best
-  /// normalized correlation. Requires a non-empty template.
+  /// region.size()); returns the absolute start with the best normalized
+  /// correlation. Requires a non-empty template.
   std::size_t refine_in_region(std::span<const float> region,
                                std::size_t region_begin) const;
 
  private:
   void calibrate(const trace::CipherAcquisition& ciphers);
   void build_fine_template(const trace::CipherAcquisition& ciphers);
-  std::size_t refine_start(std::span<const float> trace_samples,
-                           std::size_t coarse_start) const;
 
   LocatorConfig config_;
   std::unique_ptr<nn::Sequential> model_;

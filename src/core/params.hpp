@@ -67,7 +67,8 @@ struct PipelineParams {
   /// expected CO length and the stride.
   std::size_t median_filter_k = 0;
   /// Fixed decision threshold on the linear class-1 score; NaN selects the
-  /// automatic percentile-midpoint threshold.
+  /// automatic threshold: Otsu's method on the trace's scores, with the
+  /// histogram range clipped by otsu_clip_percentile.
   float threshold = std::numeric_limits<float>::quiet_NaN();
   /// Plateau-split merging: low runs of at most this many windows between
   /// two high runs are bridged (one plateau, one CO). Hardens segmentation

@@ -1,11 +1,12 @@
 #include "core/segmentation.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/signal.hpp"
 #include "common/stats.hpp"
+#include "core/detector.hpp"
 
 namespace scalocate::core {
 
@@ -41,6 +42,9 @@ float Segmenter::otsu_threshold(std::span<const float> scores,
   detail::require(!scores.empty(), "otsu_threshold: empty scores");
   detail::require(clip_percentile >= 0.0 && clip_percentile < 50.0,
                   "otsu_threshold: clip percentile must be in [0, 50)");
+  detail::require(std::all_of(scores.begin(), scores.end(),
+                              [](float s) { return std::isfinite(s); }),
+                  "otsu_threshold: non-finite score");
   float lo, hi;
   if (clip_percentile > 0.0) {
     lo = static_cast<float>(stats::percentile(scores, clip_percentile));
@@ -89,48 +93,33 @@ float Segmenter::otsu_threshold(std::span<const float> scores,
   return lo + static_cast<float>((static_cast<double>(best_bin) + 0.5) / scale);
 }
 
+float Segmenter::resolve_threshold(const SegmenterConfig& config,
+                                   std::span<const float> scores) {
+  return std::isnan(config.threshold)
+             ? otsu_threshold(scores, config.otsu_clip_percentile)
+             : config.threshold;
+}
+
 Segmentation Segmenter::segment(const SlidingWindowResult& swc) const {
   Segmentation out;
   if (swc.scores.empty()) return out;
 
-  // --- threshold (Th) ------------------------------------------------------
-  float threshold = config_.threshold;
-  if (std::isnan(threshold))
-    threshold = otsu_threshold(swc.scores, config_.otsu_clip_percentile);
-  out.threshold_used = threshold;
-  out.square_wave = signal::threshold_square_wave(swc.scores, threshold);
+  // Threshold (Th), median filter (MF) and rising edges, with no offsets,
+  // no template snap and no dedup: the raw edges, in window order.
+  DetectorConfig dc;
+  dc.threshold = resolve_threshold(config_, swc.scores);
+  dc.stride = swc.stride;
+  dc.median_k = resolve_median_k(config_, swc.stride, swc.window);
+  dc.merge_gap = config_.merge_gap_windows;
+  Detector detector(dc);
+  detector.push(swc.scores);
+  std::vector<Detection> edges;
+  detector.advance({}, 0, /*eof=*/true, edges);
 
-  // --- median filter (MF) --------------------------------------------------
-  const std::size_t k = resolve_median_k(config_, swc.stride, swc.window);
-  detail::require(k % 2 == 1, "Segmenter: median filter size must be odd");
-  out.median_k_used = k;
-  out.filtered = signal::median_filter(out.square_wave, k);
-
-  // --- rising edges -> sample positions ------------------------------------
-  // A plateau that starts at window 0 has no -1 -> +1 transition; treat a
-  // high beginning as a CO start at sample 0's window.
-  if (!out.filtered.empty() && out.filtered.front() > 0.0f) {
-    out.co_starts.push_back(0);
-  }
-  // One scan tracks the most recent falling edge so plateau-split merging
-  // can suppress a rising edge whose preceding low run is at most
-  // merge_gap_windows long (an interior dip, not a new CO). With the knob
-  // at 0 this reduces exactly to signal::rising_edges. The streaming
-  // runtime (StreamingLocator::on_filtered_value) mirrors this scan
-  // incrementally; keep the two in lockstep.
-  std::size_t last_fall = 0;
-  bool have_fall = false;
-  for (std::size_t i = 1; i < out.filtered.size(); ++i) {
-    const float prev = out.filtered[i - 1];
-    const float cur = out.filtered[i];
-    if (prev >= 0.0f && cur < 0.0f) {
-      last_fall = i;
-      have_fall = true;
-    } else if (prev < 0.0f && cur >= 0.0f) {
-      if (have_fall && i - last_fall <= config_.merge_gap_windows) continue;
-      out.co_starts.push_back(i * swc.stride);
-    }
-  }
+  out.co_starts.reserve(edges.size());
+  for (const Detection& d : edges) out.co_starts.push_back(d.raw_edge);
+  out.threshold_used = dc.threshold;
+  out.median_k_used = dc.median_k;
   return out;
 }
 

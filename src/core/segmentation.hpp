@@ -1,5 +1,9 @@
 // Segmentation (Section III-D): swc -> threshold square wave -> median
 // filter -> rising edges -> CO start samples (edge index x stride).
+//
+// Segmenter resolves the automatic settings (Otsu threshold, median size)
+// and runs core::Detector, the one implementation of these stages, with
+// no offsets, no template snap and no dedup.
 #pragma once
 
 #include <limits>
@@ -40,9 +44,7 @@ struct SegmenterConfig {
 };
 
 struct Segmentation {
-  std::vector<std::size_t> co_starts;  ///< located starts (sample indices)
-  std::vector<float> square_wave;      ///< post-threshold (diagnostics)
-  std::vector<float> filtered;         ///< post-median-filter (diagnostics)
+  std::vector<std::size_t> co_starts;  ///< raw rising edges (sample indices)
   float threshold_used = 0.0f;
   std::size_t median_k_used = 0;
 };
@@ -54,20 +56,25 @@ class Segmenter {
   Segmentation segment(const SlidingWindowResult& swc) const;
 
   /// Automatic odd median-filter size for a given plateau width (in
-  /// windows): ~3/4 of the plateau, clamped to [3, 15].
+  /// windows): half the plateau, made odd, clamped to [3, 11].
   static std::size_t auto_median_k(std::size_t plateau_windows);
 
   /// The concrete (odd) median-filter size `segment` will use for a config
   /// and a stride/window pair: the configured size when set, the automatic
-  /// size otherwise. Exposed so the streaming runtime applies the identical
-  /// filter incrementally.
+  /// size otherwise.
   static std::size_t resolve_median_k(const SegmenterConfig& config,
                                       std::size_t stride, std::size_t window);
+
+  /// The concrete decision threshold `segment` will use on `scores`: the
+  /// configured one when set, otherwise otsu_threshold with the config's
+  /// clip percentile.
+  static float resolve_threshold(const SegmenterConfig& config,
+                                 std::span<const float> scores);
 
   /// Otsu's threshold on a score distribution (256-bin histogram). When
   /// `clip_percentile` > 0 the histogram range is clipped to the
   /// [p, 100-p] percentiles (outliers land in the edge bins); 0 uses the
-  /// exact [min, max] range.
+  /// exact [min, max] range. Throws InvalidArgument on a NaN/Inf score.
   static float otsu_threshold(std::span<const float> scores,
                               double clip_percentile);
   static float otsu_threshold(std::span<const float> scores) {

@@ -70,8 +70,8 @@ class SlidingWindowClassifier {
   }
 
   /// Scores `count` pre-extracted, pre-standardized windows laid out
-  /// contiguously in `inputs` ([count, 1, window]). Used by the streaming
-  /// locator, which standardizes windows as they leave its ring buffer.
+  /// contiguously in `inputs` ([count, 1, window]): the forward half of
+  /// score_window_batch.
   void score_batch(const nn::Tensor& inputs, float* scores_out,
                    nn::Workspace& ws) const;
 

@@ -231,7 +231,7 @@ void LocatorService::enqueue(const JobPtr& job) {
 
   ++in_flight_;
   submitted_.fetch_add(1);
-  // Inside the lock so the gauge moves in lockstep with in_flight_: the
+  // Inside the lock so the gauge moves together with in_flight_: the
   // queue-depth gauge counts ACCEPTED jobs (queued + running), not
   // submitters still blocked on backpressure.
   if (metrics_.enabled()) metrics_.queue_depth->add();

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/signal.hpp"
 #include "runtime/fault_injector.hpp"
 
 namespace scalocate::runtime {
@@ -18,6 +17,19 @@ const core::CoLocator& require_trained(const core::CoLocator& locator) {
   detail::require(locator.is_trained(),
                   "StreamingLocator: locator must be trained");
   return locator;
+}
+
+/// The stream's decision threshold: params.threshold when fixed, otherwise
+/// the Otsu threshold measured on the calibration trace, since Otsu over
+/// the whole trace is unavailable mid-stream.
+float stream_threshold(const core::CoLocator& locator) {
+  float th = locator.config().params.threshold;
+  if (std::isnan(th)) th = locator.calibrated_threshold();
+  detail::require(!std::isnan(th),
+                  "StreamingLocator: no usable decision threshold; set "
+                  "params.threshold, or train() so a calibrated threshold "
+                  "exists");
+  return th;
 }
 
 /// Result of scrub_non_finite: the data to append (possibly `scratch`
@@ -62,43 +74,11 @@ StreamMetrics StreamMetrics::resolve(obs::Registry& registry,
 
 StreamingLocator::StreamingLocator(const core::CoLocator& locator,
                                    StreamingConfig config)
-    : locator_(require_trained(locator)),
-      classifier_(locator.model(), locator.config().params.n_inf,
-                  locator.config().params.stride, config.batch_size) {
-  const core::PipelineParams& params = locator.config().params;
-  window_ = params.n_inf;
-  stride_ = params.stride;
-  batch_size_ = config.batch_size;
-  nan_policy_ = config.nan_policy;
-
-  float th = config.threshold;
-  if (std::isnan(th)) th = params.threshold;
-  if (std::isnan(th)) th = locator.calibrated_threshold();
-  detail::require(!std::isnan(th),
-                  "StreamingLocator: no usable decision threshold; set "
-                  "StreamingConfig::threshold or params.threshold, or "
-                  "train() so a calibrated threshold exists");
-  threshold_ = th;
-
-  median_k_ = core::Segmenter::resolve_median_k(locator.segmenter_config(),
-                                                stride_, window_);
-  detail::require(median_k_ % 2 == 1,
-                  "StreamingLocator: median filter size must be odd");
-  half_ = median_k_ / 2;
-  merge_gap_ = locator.segmenter_config().merge_gap_windows;
-
-  coarse_ = locator.coarse_offset();
-  fine_ = locator.fine_offset();
-  fine_align_ = locator.config().fine_align;
-  tmpl_len_ = locator.fine_template().size();
-  radius_ = locator.fine_search_radius();
-  dedup_ = locator.config().min_separation_fraction > 0.0 &&
-           locator.mean_co_length() > 0.0;
-  min_gap_ = dedup_ ? static_cast<std::size_t>(
-                          locator.config().min_separation_fraction *
-                          locator.mean_co_length())
-                    : 0;
-
+    : classifier_(require_trained(locator).model(),
+                  locator.config().params.n_inf,
+                  locator.config().params.stride, config.batch_size),
+      nan_policy_(config.nan_policy),
+      detector_(locator.detector_config(stream_threshold(locator))) {
   if (config.registry)
     metrics_ = StreamMetrics::resolve(*config.registry, config.metric_prefix);
 }
@@ -106,14 +86,7 @@ StreamingLocator::StreamingLocator(const core::CoLocator& locator,
 void StreamingLocator::reset() {
   ring_.reset();
   next_window_ = 0;
-  square_.clear();
-  sq_base_ = 0;
-  filt_next_ = 0;
-  prev_filt_ = 0.0f;
-  last_fall_.reset();
-  raw_edges_.clear();
-  pending_.clear();
-  last_kept_.reset();
+  detector_.reset();
   finished_ = false;
   corrupt_samples_ = 0;
 }
@@ -159,211 +132,47 @@ std::vector<Detection> StreamingLocator::finish() {
 
 void StreamingLocator::pump(bool eof, std::vector<Detection>& out) {
   score_ready_windows();
-  emit_filtered(eof);
-  refine_ready_edges(eof);
-  release_pending(eof, out);
-  if (!eof) trim_ring();
+  const std::size_t head = ring_.size();
+  detector_.advance(ring_.view(ring_.oldest(), head - ring_.oldest()),
+                    ring_.oldest(), eof, out);
+  if (metrics_.enabled()) {
+    for (const Detection& d : out) {
+      metrics_.detections->add();
+      // Emission lag: how far the stream head ran ahead before this
+      // detection could be finalized.
+      metrics_.emission_lag_samples->record(head > d.start ? head - d.start
+                                                           : 0);
+    }
+  }
+  // Keep the next unscored window and whatever the detector may still read.
+  if (!eof)
+    ring_.discard_below(std::min(next_window_ * classifier_.stride(),
+                                 detector_.oldest_needed()));
 }
 
 void StreamingLocator::score_ready_windows() {
-  // Score every window fully contained in the stream so far, in batches.
-  // Each CNN row is computed independently of its batch neighbors, so the
-  // scores match the offline classifier regardless of how the chunk
-  // boundaries happen to group the windows.
-  std::size_t ready = 0;
-  while ((ready = ready_windows()) > 0) {
-    const std::size_t count = std::min(ready, batch_size_);
-    // Standardize each window straight from the ring into the workspace's
-    // staging tensor — the identical zero-copy batch path the offline
-    // SlidingWindowClassifier::score_into uses.
+  // Score every window fully contained in the stream so far, in batches,
+  // standardized straight from the ring into the workspace's staging tensor
+  // (the zero-copy path SlidingWindowClassifier::score_into uses). Each CNN
+  // row is computed independently of its batch neighbors, so the scores
+  // match the offline classifier however chunk boundaries group windows.
+  const std::size_t window = classifier_.window();
+  const std::size_t stride = classifier_.stride();
+  const std::size_t available = classifier_.num_windows(ring_.size());
+  while (next_window_ < available) {
+    const std::size_t count =
+        std::min(available - next_window_, classifier_.batch_size());
     scores_buf_.resize(count);
     classifier_.score_window_batch(
-        count, [&](std::size_t i) { return ready_window(i); },
+        count,
+        [&](std::size_t i) {
+          return ring_.view((next_window_ + i) * stride, window);
+        },
         scores_buf_.data(), ws_);
-    for (const float score : scores_buf_)
-      square_.push_back(score >= threshold_ ? 1.0f : -1.0f);
+    detector_.push(scores_buf_);
     next_window_ += count;
     if (metrics_.enabled()) metrics_.windows_scored->add(count);
   }
-}
-
-std::size_t StreamingLocator::ready_windows() const {
-  const std::size_t n = ring_.size();
-  if (n < window_) return 0;
-  const std::size_t total = (n - window_) / stride_ + 1;
-  return total > next_window_ ? total - next_window_ : 0;
-}
-
-std::span<const float> StreamingLocator::ready_window(std::size_t i) const {
-  return ring_.view((next_window_ + i) * stride_, window_);
-}
-
-void StreamingLocator::emit_filtered(bool eof) {
-  const std::size_t total = next_window_;  // squares produced so far
-  while (true) {
-    const std::size_t i = filt_next_;
-    std::size_t hi;
-    if (eof) {
-      if (i >= total) break;
-      hi = std::min(total - 1, i + half_);  // right border: shrink window
-    } else {
-      if (i + half_ >= total) break;  // right neighbors not yet scored
-      hi = i + half_;
-    }
-    const std::size_t lo = i >= half_ ? i - half_ : 0;
-    neighborhood_.assign(
-        square_.begin() + static_cast<std::ptrdiff_t>(lo - sq_base_),
-        square_.begin() + static_cast<std::ptrdiff_t>(hi - sq_base_) + 1);
-    const float value = signal::median_of(neighborhood_, median_scratch_);
-    on_filtered_value(i, value);
-    ++filt_next_;
-    // Drop square values no future neighborhood can reach.
-    const std::size_t keep_from = filt_next_ >= half_ ? filt_next_ - half_ : 0;
-    while (sq_base_ < keep_from) {
-      square_.pop_front();
-      ++sq_base_;
-    }
-  }
-}
-
-void StreamingLocator::on_filtered_value(std::size_t index, float value) {
-  // Incremental mirror of Segmenter::segment's edge scan (keep in
-  // lockstep): rising edges become CO starts unless plateau-split merging
-  // bridges the preceding low run.
-  if (index == 0) {
-    // A plateau that starts at window 0 has no -1 -> +1 transition; the
-    // offline segmenter treats a high beginning as a CO start at sample 0.
-    if (value > 0.0f) raw_edges_.push_back(0);
-  } else if (prev_filt_ >= 0.0f && value < 0.0f) {
-    last_fall_ = index;
-  } else if (prev_filt_ < 0.0f && value >= 0.0f) {
-    if (!(last_fall_.has_value() && index - *last_fall_ <= merge_gap_))
-      raw_edges_.push_back(index * stride_);
-  }
-  prev_filt_ = value;
-}
-
-void StreamingLocator::refine_ready_edges(bool eof) {
-  while (!raw_edges_.empty()) {
-    const std::size_t raw = raw_edges_.front();
-    std::int64_t base64 = static_cast<std::int64_t>(raw) - coarse_;
-    if (base64 < 0) base64 = 0;
-    const auto base = static_cast<std::size_t>(base64);
-
-    std::size_t start;
-    if (fine_align_ && tmpl_len_ > 0) {
-      // Mid-stream, wait until the whole search region [base - radius,
-      // base + radius + len) is resident; then the trace-end clamp the
-      // offline path applies (hi = min(L - len, base + radius)) provably
-      // does not bind, because the final length L is at least the current
-      // stream length. At eof the clamp is applied with the true L.
-      if (!eof && ring_.size() < base + radius_ + tmpl_len_) break;
-      const auto len = static_cast<std::int64_t>(tmpl_len_);
-      const std::int64_t lo = std::max<std::int64_t>(
-          0, static_cast<std::int64_t>(base) - static_cast<std::int64_t>(radius_));
-      const std::int64_t hi = std::min<std::int64_t>(
-          static_cast<std::int64_t>(ring_.size()) - len,
-          static_cast<std::int64_t>(base + radius_));
-      if (hi < lo) {
-        start = base;
-      } else {
-        const auto region = ring_.view(
-            static_cast<std::size_t>(lo),
-            static_cast<std::size_t>(hi - lo) + tmpl_len_);
-        start = locator_.refine_in_region(region,
-                                          static_cast<std::size_t>(lo));
-      }
-    } else {
-      // No template: the offline refine step is the identity.
-      start = base;
-    }
-
-    std::int64_t final64 = static_cast<std::int64_t>(start);
-    if (fine_align_) final64 -= fine_;
-    if (final64 < 0) final64 = 0;
-
-    const Pending p{static_cast<std::size_t>(final64), raw};
-    const auto pos = std::upper_bound(
-        pending_.begin(), pending_.end(), p,
-        [](const Pending& a, const Pending& b) {
-          return a.final_start < b.final_start;
-        });
-    pending_.insert(pos, p);
-    raw_edges_.pop_front();
-  }
-}
-
-std::int64_t StreamingLocator::future_lower_bound(
-    std::int64_t raw_sample) const {
-  // Smallest final start a rising edge at (or after) raw_sample can map
-  // to: coarse correction, then at most `radius` leftwards template snap,
-  // then the fine residual. Clamps at 0 only raise the true value, so this
-  // is a valid lower bound.
-  std::int64_t lb = raw_sample - coarse_;
-  if (fine_align_ && tmpl_len_ > 0) lb -= static_cast<std::int64_t>(radius_);
-  if (fine_align_) lb -= fine_;
-  return lb;
-}
-
-void StreamingLocator::release_pending(bool eof, std::vector<Detection>& out) {
-  std::int64_t horizon = std::numeric_limits<std::int64_t>::max();
-  if (!eof) {
-    // Edges not yet confirmed by the median filter start at or after
-    // window filt_next_; unrefined queued edges are even earlier, and
-    // their lower bounds are monotone, so the queue front dominates.
-    horizon = future_lower_bound(
-        static_cast<std::int64_t>(filt_next_) *
-        static_cast<std::int64_t>(stride_));
-    if (!raw_edges_.empty()) {
-      horizon = std::min(
-          horizon,
-          future_lower_bound(static_cast<std::int64_t>(raw_edges_.front())));
-    }
-  }
-
-  std::size_t released = 0;
-  while (released < pending_.size() &&
-         (eof || static_cast<std::int64_t>(
-                     pending_[released].final_start) < horizon)) {
-    const Pending& p = pending_[released];
-    // Same duplicate suppression as the offline path, applied in sorted
-    // emission order.
-    if (!dedup_ || !last_kept_.has_value() ||
-        p.final_start >= *last_kept_ + min_gap_) {
-      out.push_back(Detection{p.final_start, p.raw_edge});
-      last_kept_ = p.final_start;
-      if (metrics_.enabled()) {
-        metrics_.detections->add();
-        // Emission lag: how far the stream head ran ahead before this
-        // detection could be finalized.
-        metrics_.emission_lag_samples->record(
-            ring_.size() > p.final_start ? ring_.size() - p.final_start : 0);
-      }
-    }
-    ++released;
-  }
-  pending_.erase(pending_.begin(),
-                 pending_.begin() + static_cast<std::ptrdiff_t>(released));
-}
-
-void StreamingLocator::trim_ring() {
-  // Oldest sample any future stage can still touch: the next unscored
-  // window, or the left edge of a fine-alignment search region for an
-  // edge that is queued or not yet confirmed.
-  std::int64_t oldest =
-      static_cast<std::int64_t>(next_window_ * stride_);
-  const std::int64_t reach =
-      fine_align_ && tmpl_len_ > 0 ? static_cast<std::int64_t>(radius_) : 0;
-  const std::int64_t future_raw = static_cast<std::int64_t>(filt_next_) *
-                                  static_cast<std::int64_t>(stride_);
-  oldest = std::min(oldest, future_raw - coarse_ - reach);
-  if (!raw_edges_.empty()) {
-    std::int64_t base = static_cast<std::int64_t>(raw_edges_.front()) - coarse_;
-    if (base < 0) base = 0;
-    oldest = std::min(oldest, base - reach);
-  }
-  if (oldest < 0) oldest = 0;
-  ring_.discard_below(static_cast<std::size_t>(oldest));
 }
 
 }  // namespace scalocate::runtime

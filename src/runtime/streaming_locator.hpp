@@ -3,16 +3,15 @@
 // The offline CoLocator needs the whole trace in memory before it can
 // score a single window. This runtime ingests the trace as arbitrary-size
 // chunks (feed), keeps only a bounded tail of samples in a ring buffer,
-// and carries every pipeline stage across chunk boundaries:
-//
-//   samples -> [ring] -> sliding CNN scores -> threshold square wave
-//           -> incremental median filter -> rising edges
-//           -> offset correction + fine template alignment -> detections
+// scores each window once it is complete, and pushes the scores into the
+// core::Detector that offline locate() also runs (threshold, median
+// filter, edges, offsets + template snap, dedup). This class owns only the
+// NaN policy, the ring, scoring and the stream metrics.
 //
 // Detections are emitted online, as soon as no future sample can change
-// them, and are *identical* to CoLocator::locate on the concatenated
-// stream (the parity is tested for chunk sizes from < one window up to the
-// full trace). Two consequences of going online:
+// them, and equal CoLocator::locate on the concatenated stream by
+// construction (the parity suites cover chunks from < one window up to
+// the full trace). Two consequences of going online:
 //
 //   - the decision threshold must be fixed up front: Otsu over the whole
 //     trace's score distribution is unavailable mid-stream, so automatic
@@ -23,10 +22,6 @@
 //     of emitting exactly what the offline pipeline would.
 #pragma once
 
-#include <cstdint>
-#include <deque>
-#include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,10 +32,7 @@
 namespace scalocate::runtime {
 
 /// One located CO, emitted online.
-struct Detection {
-  std::size_t start = 0;     ///< offset-corrected, fine-aligned CO start
-  std::size_t raw_edge = 0;  ///< uncorrected rising-edge sample (diagnostic)
-};
+using Detection = core::Detection;
 
 struct StreamingConfig {
   /// What feed() does with a chunk containing non-finite samples (NaN/Inf
@@ -62,9 +54,6 @@ struct StreamingConfig {
   NanPolicy nan_policy = NanPolicy::kReject;
   /// Windows scored per CNN forward pass.
   std::size_t batch_size = 64;
-  /// Decision threshold override. NaN = inherit: the locator's configured
-  /// threshold when fixed, otherwise its calibration-trace Otsu threshold.
-  float threshold = std::numeric_limits<float>::quiet_NaN();
   /// Telemetry sink. When set, the stream counts samples fed, windows
   /// scored and detections emitted, and records per-detection emission lag
   /// (stream head minus detection start, in samples) under `metric_prefix`.
@@ -125,72 +114,32 @@ class StreamingLocator {
   std::size_t resident_samples() const {
     return ring_.size() - ring_.oldest();
   }
-  float threshold() const { return threshold_; }
-  std::size_t median_k() const { return median_k_; }
+  /// Decision threshold: params.threshold when fixed, otherwise the
+  /// locator's calibration-trace Otsu threshold.
+  float threshold() const { return detector_.config().threshold; }
+  std::size_t median_k() const { return detector_.config().median_k; }
   bool finished() const { return finished_; }
   /// Non-finite samples seen at feed() boundaries on this stream
   /// (maintained with or without telemetry). reset() clears it.
   std::size_t corrupt_samples() const { return corrupt_samples_; }
 
  private:
-  struct Pending {
-    std::size_t final_start;
-    std::size_t raw_edge;
-  };
-
   void pump(bool eof, std::vector<Detection>& out);
-  /// Windows fully contained in the stream so far and not yet scored.
-  std::size_t ready_windows() const;
-  /// Raw (unstandardized) view of ready window i, i < ready_windows().
-  std::span<const float> ready_window(std::size_t i) const;
   void score_ready_windows();
-  void emit_filtered(bool eof);
-  void on_filtered_value(std::size_t index, float value);
-  void refine_ready_edges(bool eof);
-  void release_pending(bool eof, std::vector<Detection>& out);
-  void trim_ring();
-  std::int64_t future_lower_bound(std::int64_t raw_sample) const;
 
-  const core::CoLocator& locator_;
   core::SlidingWindowClassifier classifier_;
   nn::Workspace ws_;
-
-  // Pipeline constants resolved at construction.
-  std::size_t window_ = 0;
-  std::size_t stride_ = 1;
-  std::size_t batch_size_ = 64;
   StreamingConfig::NanPolicy nan_policy_ = StreamingConfig::NanPolicy::kReject;
-  float threshold_ = 0.0f;
-  std::size_t median_k_ = 3;
-  std::size_t half_ = 1;  ///< median_k_ / 2
-  std::size_t merge_gap_ = 0;  ///< Segmenter plateau-split merge width
-  std::int64_t coarse_ = 0;
-  std::int64_t fine_ = 0;
-  bool fine_align_ = false;     ///< config flag (drives the fine_ stage)
-  std::size_t tmpl_len_ = 0;    ///< 0 = no template snap
-  std::size_t radius_ = 0;
-  bool dedup_ = false;
-  std::size_t min_gap_ = 0;
+  core::Detector detector_;  ///< every stage after scoring
 
-  // Stream state.
   SampleRing ring_;
-  std::size_t next_window_ = 0;   ///< next window index to score
-  std::deque<float> square_;      ///< square wave tail, starts at sq_base_
-  std::size_t sq_base_ = 0;       ///< window index of square_[0]
-  std::size_t filt_next_ = 0;     ///< next median-filter index to emit
-  float prev_filt_ = 0.0f;        ///< filtered[filt_next_ - 1]
-  std::optional<std::size_t> last_fall_;  ///< latest falling-edge window
-  std::deque<std::size_t> raw_edges_;  ///< unrefined edges (sample indices)
-  std::vector<Pending> pending_;       ///< refined, sorted by final_start
-  std::optional<std::size_t> last_kept_;  ///< dedup state
+  std::size_t next_window_ = 0;  ///< next window index to score
   bool finished_ = false;
   std::size_t corrupt_samples_ = 0;  ///< non-finite samples seen at feed()
 
   // Reused scratch. (Window staging lives in ws_.staging(): windows are
   // standardized from the ring directly into the batch tensor.)
   std::vector<float> scores_buf_;
-  std::vector<float> median_scratch_;
-  std::vector<float> neighborhood_;
   std::vector<float> sanitize_buf_;  ///< feed() NaN-scrub / poison scratch
 
   StreamMetrics metrics_;  ///< all-null when telemetry is off

@@ -368,6 +368,35 @@ TEST_F(FaultsSuite, RealNanInputIsCaughtWithoutTheInjector) {
   EXPECT_EQ(stream.samples_consumed(), 0u);  // state untouched
 }
 
+TEST_F(FaultsSuite, WholeTraceJobsRejectNonFiniteSamples) {
+  // Whole-trace jobs fail with the stream's typed error instead of letting
+  // the NaN reach the scores and silently move detections.
+  std::vector<float> bad(eval_->samples);
+  bad[bad.size() / 2] = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_THROW(locator_->locate(bad), CorruptSignal);
+
+  api::Engine engine({.workers = 2});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  api::RetryConfig rc;
+  rc.max_attempts = 3;
+  rc.jitter_seed = 5;
+  rc.sleep = [](std::chrono::nanoseconds) {};
+  std::size_t calls = 0;
+  try {
+    api::with_retry(
+        [&] {
+          ++calls;
+          return session.submit_view(bad).get();
+        },
+        rc);
+    FAIL() << "expected CorruptSignal";
+  } catch (const CorruptSignal& e) {
+    EXPECT_FALSE(is_transient(e));
+  }
+  EXPECT_EQ(calls, 1u);  // terminal: with_retry does not resubmit it
+}
+
 // ---------------------------------------------------------------------------
 // Artifact read faults + retry
 // ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <future>
 #include <limits>
 #include <stdexcept>
 #include <thread>
 
+#include "common/rng.hpp"
 #include "core/locator.hpp"
 #include "obs/registry.hpp"
 #include "runtime/locator_service.hpp"
@@ -250,18 +253,42 @@ class RuntimeLocator : public ::testing::Test {
     delete key_;
   }
 
-  /// Streams `samples` in `chunk`-sized pieces and returns every detection.
+  /// Streams `samples` in pieces of next_chunk() samples each and returns
+  /// every detection.
   static std::vector<std::size_t> stream_starts(
-      std::span<const float> samples, std::size_t chunk) {
+      std::span<const float> samples,
+      const std::function<std::size_t()>& next_chunk) {
     runtime::StreamingLocator sl(*locator_);
     std::vector<std::size_t> starts;
-    for (std::size_t off = 0; off < samples.size(); off += chunk) {
-      const std::size_t n = std::min(chunk, samples.size() - off);
+    for (std::size_t off = 0; off < samples.size();) {
+      const std::size_t n = std::min(next_chunk(), samples.size() - off);
       for (const auto& d : sl.feed(samples.subspan(off, n)))
         starts.push_back(d.start);
+      off += n;
     }
     for (const auto& d : sl.finish()) starts.push_back(d.start);
     return starts;
+  }
+
+  /// Fixed `chunk`-sized pieces.
+  static std::vector<std::size_t> stream_starts(
+      std::span<const float> samples, std::size_t chunk) {
+    return stream_starts(samples, [chunk] { return chunk; });
+  }
+
+  /// A seeded random chunk schedule: each size is drawn from 1-16, up to
+  /// 3*n_inf, or up to 8192 samples, so one run mixes sub-window,
+  /// window-scale and bulk feeds.
+  static std::vector<std::size_t> stream_starts_seeded(
+      std::span<const float> samples, std::uint64_t seed) {
+    Rng rng(seed);
+    const auto n_inf =
+        static_cast<std::int64_t>(locator_->config().params.n_inf);
+    const std::int64_t caps[] = {16, 3 * n_inf, 8192};
+    return stream_starts(samples, [&] {
+      return static_cast<std::size_t>(
+          rng.uniform_int(1, caps[rng.next_below(3)]));
+    });
   }
 
   static crypto::Key16* key_;
@@ -306,6 +333,12 @@ TEST_F(RuntimeLocator, StreamingMatchesOfflineChunkSmallerThanWindow) {
   EXPECT_EQ(stream_starts(eval_->samples, 48), *offline_);
 }
 
+TEST_F(RuntimeLocator, StreamingMatchesOfflineUnderRandomChunkSchedules) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed)
+    EXPECT_EQ(stream_starts_seeded(eval_->samples, seed), *offline_)
+        << "seed=" << seed;
+}
+
 TEST_F(RuntimeLocator, TruncatedTailParity) {
   // A capture that stops mid-CO (trailing plateau, no falling edge) must
   // produce identical detections offline and streamed, at every cut depth
@@ -321,6 +354,7 @@ TEST_F(RuntimeLocator, TruncatedTailParity) {
     ASSERT_LT(cut, eval_->samples.size());
     const std::span<const float> sub(eval_->samples.data(), cut);
     const auto offline = locator_->locate(sub);
+    ASSERT_FALSE(offline.empty()) << "cut=" << cut;
     EXPECT_EQ(stream_starts(sub, 1024), offline) << "cut=" << cut;
     EXPECT_EQ(stream_starts(sub, 97), offline) << "cut=" << cut;
     EXPECT_EQ(stream_starts(sub, sub.size()), offline) << "cut=" << cut;
@@ -333,6 +367,7 @@ TEST_F(RuntimeLocator, ScenarioSuiteStreamingParity) {
   for (const auto& c : trace::ScenarioSuite::all()) {
     const auto cap = trace::ScenarioSuite::acquire(c, *sc_, 6, *key_);
     const auto offline = locator_->locate(cap.trace.samples);
+    ASSERT_FALSE(offline.empty()) << c.name;
     EXPECT_EQ(stream_starts(cap.trace.samples, 2048), offline) << c.name;
   }
 }

@@ -12,13 +12,6 @@
 namespace scalocate::signal {
 namespace {
 
-TEST(Signal, ThresholdSquareWave) {
-  const std::vector<float> xs = {0.f, 1.f, 2.f, 1.f, 0.f};
-  const auto sq = threshold_square_wave(xs, 1.0f);
-  const std::vector<float> expected = {-1.f, 1.f, 1.f, 1.f, -1.f};
-  EXPECT_EQ(sq, expected);
-}
-
 TEST(Signal, MedianFilterRemovesImpulse) {
   std::vector<float> xs(21, 0.f);
   xs[10] = 100.f;
@@ -69,21 +62,6 @@ TEST_P(MedianFilterProperty, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, MedianFilterProperty,
                          ::testing::Values(1, 3, 5, 7, 9, 15));
-
-TEST(Signal, RisingAndFallingEdges) {
-  const std::vector<float> sq = {-1, -1, 1, 1, -1, 1, -1};
-  const auto rise = rising_edges(sq);
-  const auto fall = falling_edges(sq);
-  EXPECT_EQ(rise, (std::vector<std::size_t>{2, 5}));
-  EXPECT_EQ(fall, (std::vector<std::size_t>{4, 6}));
-}
-
-TEST(Signal, EdgesOnEmptyAndConstant) {
-  EXPECT_TRUE(rising_edges(std::span<const float>{}).empty());
-  const std::vector<float> c(10, 1.f);
-  EXPECT_TRUE(rising_edges(c).empty());
-  EXPECT_TRUE(falling_edges(c).empty());
-}
 
 TEST(Signal, MovingAverageConstantIsIdentity) {
   const std::vector<float> xs(16, 2.5f);

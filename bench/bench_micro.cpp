@@ -5,10 +5,11 @@
 // "Performance" table.
 //
 // Besides the console report, every run is collected into BENCH_micro.json
-// (custom main below): per-case times plus a flat "gflops" map keyed by
-// case name — the fields the perf-regression CI job gates on — and, when
-// the library was built with SCALOCATE_PROFILE, the global registry's
-// kernel FLOP counters and per-shape timing histograms.
+// (custom main below): the dispatched kernel tile, per-case times plus a
+// flat "gflops" map keyed by case name — the fields the perf-regression CI
+// job gates on — and, when the library was built with SCALOCATE_PROFILE,
+// the global registry's kernel FLOP counters and per-shape timing
+// histograms.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -20,6 +21,7 @@
 #include "nn/kernels/gemm.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/reference.hpp"
+#include "nn/kernels/tiles.hpp"
 #include "obs/registry.hpp"
 #include "sca/cpa.hpp"
 #include "trace/scenario.hpp"
@@ -370,6 +372,10 @@ class SnapshotReporter : public benchmark::ConsoleReporter {
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  // The kernel tile every GEMM/conv case ran (tiles.hpp), in the console
+  // header and the snapshot: a runner without AVX-512F reports "avx2".
+  const std::string kernel_tile = nn::kernels::detail::dispatched_tile().name;
+  benchmark::AddCustomContext("kernel_tile", kernel_tile);
   SnapshotReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
 
@@ -377,6 +383,7 @@ int main(int argc, char** argv) {
   json.begin_object();
   json.kv("bench", "micro");
   json.kv("scale", bench::scale());
+  json.kv("kernel_tile", kernel_tile);
   json.key("cases").begin_array();
   for (const auto& c : reporter.cases) {
     json.begin_object();

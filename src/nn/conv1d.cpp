@@ -55,10 +55,10 @@ Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
   const std::size_t out_len = output_length(n);
 
   Tensor out({batch, out_channels_, out_len});
-  // One fused im2col+GEMM+bias over the whole batch: the column matrix is
-  // virtual (packed straight from the input inside the GEMM, K dimension
-  // = Cin*kernel), the weights are packed once per call, and the bias
-  // rides the C write-back — a single pass over the output.
+  // Stride 1 (every conv of the paper model) runs the pack-free direct
+  // conv: accumulators in registers, input read in place, bias as the
+  // accumulator's seed. Strided convs run one fused im2col+GEMM+bias over
+  // the whole batch. Either way, a single pass over the output.
   kernels::sgemm_conv(out_channels_, out_len, batch, weight_.value.data(),
                       bias_.value.data(), input.data(), in_channels_, n,
                       kernel_size_, stride_, pad_left_, out.data(),

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 
+// The portable tile's instantiations; see the per-TU identity note there.
+#define SCALOCATE_TILE_ISA portable
 #include "nn/kernels/gemm_blocked.hpp"
 #include "nn/kernels/parallel.hpp"
+#include "nn/kernels/tiles.hpp"
 
 #if defined(SCALOCATE_PROFILE)
 #include <map>
@@ -57,8 +60,18 @@ float* grow(std::vector<float>& buf, std::size_t count) {
   return buf.data();
 }
 
-#if defined(SCALOCATE_GEMM_AVX2)
-// Defined in gemm_avx2.cpp (compiled with -mavx2 -mfma).
+#if defined(SCALOCATE_GEMM_X86_64)
+// Defined in gemm_avx512.cpp (-mavx512f -mfma) and gemm_avx2.cpp
+// (-mavx2 -mfma).
+void sgemm_avx512(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                  std::size_t k, float alpha, const float* a, std::size_t lda,
+                  const float* b, std::size_t ldb, float beta, float* c,
+                  std::size_t ldc, GemmScratch& scratch);
+void sgemm_conv_avx512(std::size_t cout, std::size_t out_len, std::size_t batch,
+                       const float* w, const float* bias, const float* x,
+                       std::size_t cin, std::size_t n, std::size_t kernel,
+                       std::size_t stride, std::size_t pad_left, float* out,
+                       GemmScratch& scratch);
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float beta, float* c,
@@ -68,13 +81,44 @@ void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
                      std::size_t cin, std::size_t n, std::size_t kernel,
                      std::size_t stride, std::size_t pad_left, float* out,
                      GemmScratch& scratch);
+#endif
+
+namespace {
+
+#if defined(SCALOCATE_GEMM_X86_64)
+// __builtin_cpu_supports("avx512f") is false unless the OS also saves the
+// ZMM state (XCR0), so a true answer means the 512-bit code can run.
+bool cpu_has_avx512() {
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx2") &&
+         __builtin_cpu_supports("fma");
+}
 
 bool cpu_has_avx2_fma() {
-  static const bool supported =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return supported;
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
 }
 #endif
+
+bool any_cpu() { return true; }
+
+constexpr Tile kTiles[] = {
+#if defined(SCALOCATE_GEMM_X86_64)
+    {"avx512", cpu_has_avx512, sgemm_avx512, sgemm_conv_avx512},
+    {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2},
+#endif
+    {"portable", any_cpu, portable::sgemm_blocked<4, 8>,
+     portable::sgemm_conv_blocked<4, 8>},
+};
+
+}  // namespace
+
+std::span<const Tile> tiles() { return kTiles; }
+
+const Tile& dispatched_tile() {
+  static const Tile& tile =
+      *std::find_if(std::begin(kTiles), std::end(kTiles),
+                    [](const Tile& t) { return t.supported(); });
+  return tile;
+}
 
 }  // namespace detail
 
@@ -87,39 +131,6 @@ GemmScratch& GemmScratch::lane(std::size_t index) {
 
 namespace {
 
-// ISA dispatch for one single-threaded kernel invocation (the threaded
-// drivers call this once per chunk; every chunk runs the same kernel).
-void sgemm_st(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-              std::size_t k, float alpha, const float* a, std::size_t lda,
-              const float* b, std::size_t ldb, float beta, float* c,
-              std::size_t ldc, GemmScratch& scratch) {
-#if defined(SCALOCATE_GEMM_AVX2)
-  if (detail::cpu_has_avx2_fma()) {
-    detail::sgemm_avx2(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta,
-                       c, ldc, scratch);
-    return;
-  }
-#endif
-  detail::sgemm_blocked<4, 8>(trans_a, trans_b, m, n, k, alpha, a, lda, b,
-                              ldb, beta, c, ldc, scratch);
-}
-
-void sgemm_conv_st(std::size_t cout, std::size_t out_len, std::size_t batch,
-                   const float* w, const float* bias, const float* x,
-                   std::size_t cin, std::size_t n, std::size_t kernel,
-                   std::size_t stride, std::size_t pad_left, float* out,
-                   GemmScratch& scratch) {
-#if defined(SCALOCATE_GEMM_AVX2)
-  if (detail::cpu_has_avx2_fma()) {
-    detail::sgemm_conv_avx2(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                            stride, pad_left, out, scratch);
-    return;
-  }
-#endif
-  detail::sgemm_conv_blocked<4, 8>(cout, out_len, batch, w, bias, x, cin, n,
-                                   kernel, stride, pad_left, out, scratch);
-}
-
 // Chunks for statically partitioning `extent` units of one macro-loop:
 // bounded by the caller's thread budget and by a minimum chunk width (so
 // a split never degenerates into per-strip task traffic). Deterministic —
@@ -131,9 +142,11 @@ std::size_t chunks_for(std::size_t extent, std::size_t min_per_chunk,
       1, std::min(budget, std::max<std::size_t>(by_extent, 1)));
 }
 
-// Threading floor on the partitioned dimension: at least two NR strips of
-// the wide tile per chunk, so the per-chunk pack/write-back epilogue stays
-// amortized. Any width would be bit-correct; this is purely a perf floor.
+// Threading floor on the partitioned dimension: 32 columns per chunk (two
+// NR strips of the AVX2 tile, one of the AVX-512 tile), so the per-chunk
+// pack/write-back epilogue stays amortized. Any width would be
+// bit-correct; this is purely a perf floor, and no measurement backs
+// another value.
 constexpr std::size_t kMinColsPerChunk = 32;
 constexpr std::size_t kMinRowsPerChunk = 32;
 // Output channels per conv chunk: one MRC register block of conv_direct.
@@ -173,6 +186,8 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   flops.add(2ull * m * n * k);
   obs::SpanTimer span(shape_histogram("gemm", m, n, k));
 #endif
+  // Every chunk of a threaded call runs the same single-threaded tile.
+  const detail::GemmEntry sgemm_st = detail::dispatched_tile().gemm;
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
       2ull * m * n * k >= parallel_min_flops()) {
@@ -217,6 +232,7 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
   flops.add(2ull * batch * cout * out_len * cin * kernel);
   obs::SpanTimer span(shape_histogram("conv", cout, out_len, cin * kernel));
 #endif
+  const detail::ConvEntry sgemm_conv_st = detail::dispatched_tile().conv;
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
       2ull * batch * cout * out_len * cin * kernel >= parallel_min_flops()) {

@@ -1,12 +1,17 @@
 // Cache-blocked single-precision GEMM: the compute core of the nn backend.
 //
-// Every dense layer (Conv1d via im2col, Linear directly) routes its forward
-// and backward matrix products through sgemm(). The implementation is a
-// classic three-level blocking (GotoBLAS structure): B is packed into
-// NR-wide column panels and A into MR-wide row panels sized for the L1/L2
-// caches, and an MR x NR register-tiled micro-kernel accumulates the
-// product, so the inner loop does O(MR*NR) arithmetic per O(MR+NR) loads
-// instead of the 1:1 ratio of a naive loop.
+// Every dense layer routes its matrix products through sgemm(): Linear's
+// forward and backward, and Conv1d's backward (via im2col); Conv1d's
+// forward runs sgemm_conv(). The implementation is a classic three-level
+// blocking (GotoBLAS structure): B is packed into NR-wide column panels
+// and A into MR-wide row panels sized for the L1/L2 caches, and an
+// MR x NR register-tiled micro-kernel accumulates the product, so the
+// inner loop does O(MR*NR) arithmetic per O(MR+NR) loads instead of the
+// 1:1 ratio of a naive loop.
+//
+// Both entry points run the widest kernel tile the CPU supports
+// (tiles.hpp: AVX-512, AVX2 or portable). The AVX-512 and AVX2 tiles give
+// bit-identical results; the portable tile (no FMA) does not.
 //
 // sgemm_naive() is the reference kernel: a plain triple loop with
 // double-precision accumulation, kept (and unit-tested against) so the
@@ -75,11 +80,13 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 
 /// Fused batched convolution forward:
 /// out[b] = W * im2col(x[b]) + bias for x [batch, cin, n] and
-/// out [batch, cout, out_len], as a single blocked GEMM. The column
-/// matrix is virtual — the packing stage reads x directly — and the bias
-/// rides the first-panel write-back, so the conv forward packs the weight
-/// matrix once per call and makes exactly one pass over the output.
-/// `bias` may be null. out_len must equal conv_output_length(...).
+/// out [batch, cout, out_len]. Stride 1 runs the pack-free direct conv:
+/// each tile of outputs accumulates in registers while reading x in place,
+/// starting from the bias. Other strides run as a single blocked GEMM
+/// whose column matrix is virtual (the packing stage reads x directly)
+/// and whose bias rides the first-panel write-back. Either way the output
+/// is written in one pass. `bias` may be null. out_len must equal
+/// conv_output_length(...).
 void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
                 const float* w, const float* bias, const float* x,
                 std::size_t cin, std::size_t n, std::size_t kernel,

@@ -1,14 +1,24 @@
-// Internal: the cache-blocked GEMM implementation, templated on the
+// Internal: the cache-blocked GEMM and the direct conv, templated on the
 // register-tile shape (MR x NR), a B-packing policy, and a C-placement
 // policy.
 //
-// The template is instantiated in two translation units with different
-// tiles and different compiler flags:
-//   - gemm.cpp        -> <4, 8>   (portable baseline ISA)
-//   - gemm_avx2.cpp   -> <6, 16>  (compiled with -mavx2 -mfma)
-// sgemm() in gemm.cpp picks the widest instantiation the running CPU
-// supports. Keeping the body a template (instead of ifdef'd copies) means
-// one algorithm, two codegens.
+// The templates are instantiated in three translation units, each with its
+// own tile and compiler flags:
+//   - gemm.cpp          -> <4, 8>   (portable baseline ISA)
+//   - gemm_avx2.cpp     -> <6, 16>  (compiled with -mavx2 -mfma)
+//   - gemm_avx512.cpp   -> <6, 32>  (compiled with -mavx512f -mfma)
+// The tile table in tiles.hpp lists them widest first, and sgemm() runs the
+// first one the CPU supports. Keeping the bodies templates (instead of
+// ifdef'd copies) means one algorithm, three codegens.
+//
+// Per-TU identity: an includer defines SCALOCATE_TILE_ISA to a namespace
+// name of its own first, and everything below lives in
+// detail::SCALOCATE_TILE_ISA. Instantiations are weak symbols, so without
+// it an instantiation two TUs share (pack_block_a<6> is used at <6, 16>
+// and at <6, 32>) would be one symbol, and the linker could keep the
+// AVX-512 copy for the AVX2 path. For the same reason the bodies call no
+// std:: function templates (std::min is a shared weak symbol in an
+// unoptimized build). tools/check_tile_symbols.py checks the archive.
 //
 // Policies:
 //   - PlainB / PlainCStore: ordinary row-major GEMM.
@@ -18,29 +28,25 @@
 //   - BatchedConvCStore: scatters GEMM columns j = b*out_len + pos into a
 //     [B, Cout, out_len] output tensor and fuses the bias into the first
 //     k-panel write-back.
-// Together they make Conv1d::forward a single GEMM over the whole batch:
-// the weight matrix is packed once per layer call, not once per item.
+// Together they make a strided conv forward a single GEMM over the whole
+// batch. Stride-1 convs (every conv of the paper model) skip them and run
+// the pack-free conv_direct.
 #pragma once
 
-#include <algorithm>
+#if !defined(SCALOCATE_TILE_ISA)
+#error "define SCALOCATE_TILE_ISA (this TU's tile namespace) before the include"
+#endif
+
 #include <cstddef>
+#include <vector>
 
 #include "nn/kernels/gemm.hpp"
 
 namespace scalocate::nn::kernels::detail {
 
-// Cache blocking: the packed A block (MC x KC) stays L2-resident and is
-// re-streamed per B strip; the packed B panel (KC x NC) is sized to sit in
-// L2 as well so the single pass the micro-kernel makes over it stays off
-// DRAM (measured optimum on the batched conv GEMMs).
-constexpr std::size_t kMC = 132;  // multiple of both MR choices (4 and 6)
-constexpr std::size_t kKC = 256;
-constexpr std::size_t kNC = 512;
-
-// Internal linkage on purpose: this header is compiled into both the
-// baseline TU and the -mavx2 TU. A COMDAT-merged external-linkage inline
-// could let the linker keep the AVX-encoded copy and feed it to baseline
-// code paths (SIGILL on pre-AVX2 CPUs); a static copy per TU cannot leak.
+// Internal linkage on purpose: sgemm_naive in gemm.cpp reads through it
+// too, outside any tile namespace, and a static copy per TU cannot leak
+// AVX-encoded code into baseline callers.
 static inline float load_any(bool trans, const float* m, std::size_t ld,
                              std::size_t row, std::size_t col) {
   return trans ? m[col * ld + row] : m[row * ld + col];
@@ -48,8 +54,28 @@ static inline float load_any(bool trans, const float* m, std::size_t ld,
 
 /// Out-of-line vector growth, defined ONLY in gemm.cpp (baseline ISA):
 /// keeps std::vector<float> method instantiations — which contain
-/// vectorizable float loops — out of the AVX2 TU for the same reason.
+/// vectorizable float loops — out of the AVX TUs for the same reason.
 float* grow(std::vector<float>& buf, std::size_t count);
+
+namespace SCALOCATE_TILE_ISA {
+
+// Cache blocking: the packed A block (MC x KC) stays L2-resident and is
+// re-streamed per B strip; the packed B panel (KC x NC) is sized to sit in
+// L2 as well so the single pass the micro-kernel makes over it stays off
+// DRAM (measured optimum on the batched conv GEMMs). KC also fixes where
+// each element's k-chain restarts, so every tile sums in the same order.
+constexpr std::size_t kMC = 132;  // multiple of every MR in use (4 and 6)
+constexpr std::size_t kKC = 256;
+constexpr std::size_t kNC = 512;
+
+template <class T>
+constexpr T lesser(T a, T b) {
+  return b < a ? b : a;
+}
+template <class T>
+constexpr T greater(T a, T b) {
+  return a < b ? b : a;
+}
 
 /// Packs A[ic..ic+mc) x [pc..pc+kc) into MR-row panels, zero-padding the
 /// ragged last panel so the micro-kernel never branches on bounds.
@@ -57,7 +83,7 @@ template <std::size_t MR>
 void pack_block_a(bool trans, const float* a, std::size_t lda, std::size_t ic,
                   std::size_t pc, std::size_t mc, std::size_t kc, float* dst) {
   for (std::size_t i0 = 0; i0 < mc; i0 += MR) {
-    const std::size_t mr = std::min(MR, mc - i0);
+    const std::size_t mr = lesser(MR, mc - i0);
     for (std::size_t p = 0; p < kc; ++p) {
       for (std::size_t ir = 0; ir < mr; ++ir)
         dst[ir] = load_any(trans, a, lda, ic + i0 + ir, pc + p);
@@ -77,7 +103,7 @@ struct PlainB {
   void pack(std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
             float* dst) const {
     for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-      const std::size_t nr = std::min(NR, nc - j0);
+      const std::size_t nr = lesser(NR, nc - j0);
       if (!trans && nr == NR) {
         // Contiguous fast path: rows of B are unit-stride in j.
         const float* src = b + pc * ldb + jc + j0;
@@ -110,7 +136,7 @@ struct Im2colB {
             float* dst) const {
     const std::size_t item_stride = cin * n;
     for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-      const std::size_t nr = std::min(NR, nc - j0);
+      const std::size_t nr = lesser(NR, nc - j0);
       const std::size_t col0 = jc + j0;
       const std::size_t item = col0 / out_len;
       const std::size_t pos0 = col0 % out_len;
@@ -168,8 +194,8 @@ struct Im2colB {
           const std::ptrdiff_t snr = static_cast<std::ptrdiff_t>(nr);
           std::ptrdiff_t lo = base < 0 ? -base : 0;  // first in-bounds lane
           std::ptrdiff_t hi = sn - base;             // one past last
-          lo = std::min(lo, snr);
-          hi = std::max(std::min(hi, snr), lo);
+          lo = lesser(lo, snr);
+          hi = greater(lesser(hi, snr), lo);
           for (std::ptrdiff_t jr = 0; jr < lo; ++jr) dst[jr] = 0.0f;
           for (std::ptrdiff_t jr = lo; jr < hi; ++jr)
             dst[jr] = xrow[base + jr];
@@ -239,7 +265,7 @@ struct BatchedConvCStore {
       while (done < nr) {
         const std::size_t item = (col0 + done) / out_len;
         const std::size_t pos = (col0 + done) % out_len;
-        const std::size_t run = std::min(nr - done, out_len - pos);
+        const std::size_t run = lesser(nr - done, out_len - pos);
         float* crow = out + (item * cout + row) * out_len + pos;
         if (first_panel) {
           for (std::size_t t = 0; t < run; ++t)
@@ -260,13 +286,14 @@ struct BatchedConvCStore {
 /// vector registers (GCC's auto-vectorizer spills a plain MR*NR scalar
 /// array): MR x NR/VL vector accumulators live across the whole k loop,
 /// each step loads MR + NR floats and issues MR*NR/VL fused mul-adds. The
-/// vector width VL follows the tile (8-float vectors for the AVX2 tile,
-/// 4-float for the portable one); targets without the matching ISA get
-/// the ops lowered by the compiler, so the template stays portable.
+/// vector width comes from the tile, VL = NR / 2 (two vectors per row: 4
+/// floats for the portable tile, 8 for AVX2, 16 for AVX-512); targets
+/// without the matching ISA get the ops lowered by the compiler, so the
+/// template stays portable.
 template <std::size_t MR, std::size_t NR>
 inline void micro_kernel(std::size_t kc, const float* pa, const float* pb,
                          float* acc) {
-  constexpr std::size_t VL = NR >= 16 ? 8 : 4;
+  constexpr std::size_t VL = NR / 2;
   static_assert(NR % VL == 0);
   constexpr std::size_t NV = NR / VL;
   typedef float vf __attribute__((vector_size(VL * sizeof(float))));
@@ -297,16 +324,16 @@ void sgemm_blocked_core(bool trans_a, std::size_t m, std::size_t n,
                         const CStore& cstore, GemmScratch& scratch) {
   static_assert(kMC % MR == 0, "MC must hold whole A panels");
   for (std::size_t jc = 0; jc < n; jc += kNC) {
-    const std::size_t nc = std::min(kNC, n - jc);
+    const std::size_t nc = lesser(kNC, n - jc);
     const std::size_t nc_padded = (nc + NR - 1) / NR * NR;
     for (std::size_t pc = 0; pc < k; pc += kKC) {
-      const std::size_t kc = std::min(kKC, k - pc);
+      const std::size_t kc = lesser(kKC, k - pc);
       const bool first_panel = pc == 0;
       float* packed_b = grow(scratch.pack_b, kc * nc_padded);
       bpack.template pack<NR>(pc, jc, kc, nc, packed_b);
 
       for (std::size_t ic = 0; ic < m; ic += kMC) {
-        const std::size_t mc = std::min(kMC, m - ic);
+        const std::size_t mc = lesser(kMC, m - ic);
         const std::size_t mc_padded = (mc + MR - 1) / MR * MR;
         float* packed_a = grow(scratch.pack_a, mc_padded * kc);
         pack_block_a<MR>(trans_a, a, lda, ic, pc, mc, kc, packed_a);
@@ -316,10 +343,10 @@ void sgemm_blocked_core(bool trans_a, std::size_t m, std::size_t n,
         // MC x KC packed A block stays L2-resident and is re-streamed per
         // strip. B is then read exactly once per k-panel.
         for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-          const std::size_t nr = std::min(NR, nc - j0);
+          const std::size_t nr = lesser(NR, nc - j0);
           const float* pb = packed_b + (j0 / NR) * kc * NR;
           for (std::size_t i0 = 0; i0 < mc; i0 += MR) {
-            const std::size_t mr = std::min(MR, mc - i0);
+            const std::size_t mr = lesser(MR, mc - i0);
             const float* pa = packed_a + (i0 / MR) * kc * MR;
             float acc[MR * NR];  // fully written by the micro-kernel
             micro_kernel<MR, NR>(kc, pa, pb, acc);
@@ -353,7 +380,8 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
 /// Each output element is one chain: acc = 0 + bias[co], then
 /// acc += x_padded * w for every (ci, tap) in order (one fused multiply-add
 /// per step where the TU has FMA). Items are independent, so a batch-1
-/// call gives every element the bits of the batched call.
+/// call gives every element the bits of the batched call, and the chain
+/// does not depend on NR, so the FMA tiles of every width agree bitwise.
 ///
 /// The MRC x NV accumulators stay in registers only if every access to them
 /// has a compile-time row index: a row loop bounded by the runtime tail
@@ -367,7 +395,7 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  std::size_t cin, std::size_t n, std::size_t kernel,
                  std::size_t pad_left, std::size_t pad_right, float* out,
                  GemmScratch& scratch) {
-  constexpr std::size_t VL = NR >= 16 ? 8 : 4;
+  constexpr std::size_t VL = NR / 2;  // as in micro_kernel
   static_assert(NR % VL == 0);
   constexpr std::size_t NV = NR / VL;
   typedef float vf __attribute__((vector_size(VL * sizeof(float))));
@@ -393,16 +421,16 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
       __builtin_memcpy(xpad + ci * np + pad_left, xi + ci * n,
                        n * sizeof(float));
     for (std::size_t co0 = 0; co0 < cout; co0 += MRC) {
-      const std::size_t mc = std::min(MRC, cout - co0);
+      const std::size_t mc = lesser(MRC, cout - co0);
       const float* wrow[MRC];
       float brow[MRC];
       for (std::size_t ir = 0; ir < MRC; ++ir) {
-        const std::size_t co = co0 + std::min(ir, mc - 1);
+        const std::size_t co = co0 + lesser(ir, mc - 1);
         wrow[ir] = w + co * wrow_stride;
         brow[ir] = bias != nullptr ? bias[co] : 0.0f;
       }
       for (std::size_t j0 = 0; j0 < out_len; j0 += NR) {
-        const std::size_t nr = std::min(NR, out_len - j0);
+        const std::size_t nr = lesser(NR, out_len - j0);
         vf acc[MRC][NV];
         for (std::size_t ir = 0; ir < MRC; ++ir)
           for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + brow[ir];
@@ -463,4 +491,5 @@ void sgemm_conv_blocked(std::size_t cout, std::size_t out_len,
       BatchedConvCStore{out, cout, out_len, bias}, scratch);
 }
 
+}  // namespace SCALOCATE_TILE_ISA
 }  // namespace scalocate::nn::kernels::detail

@@ -103,10 +103,12 @@ namespace {
 /// The lazily-created process pool. Sized so that a thread-local budget
 /// raised above the process default (tests pin 8 on small CI boxes) still
 /// gets real concurrency: at least 7 workers + the caller. Workers beyond
-/// the chunk count of a region just stay parked on the queue's condvar.
+/// the chunk count of a region just stay parked, and the last-parked ones
+/// wake first, so back-to-back regions reuse warm cores.
 runtime::ThreadPool& compute_pool_instance() {
   static runtime::ThreadPool pool(
-      std::max<std::size_t>(default_intra_op_threads(), 8) - 1);
+      std::max<std::size_t>(default_intra_op_threads(), 8) - 1,
+      runtime::ThreadPool::WakeOrder::kLastParked);
   return pool;
 }
 

@@ -1,5 +1,8 @@
 // Fixed-size worker pool over a mutex-guarded MPMC task queue.
 //
+// Idle workers park on their own condition variables, and the pool's wake
+// order picks the one post() wakes (see WakeOrder).
+//
 // Tasks receive the executing worker's index, which is how the
 // LocatorService hands each worker a private scratch workspace while every
 // worker shares one read-only model. submit() wraps a callable into a
@@ -31,7 +34,21 @@ class ThreadPool {
   /// A task is invoked with the worker index in [0, worker_count()).
   using Task = std::function<void(std::size_t)>;
 
-  explicit ThreadPool(std::size_t workers);
+  /// Which parked worker post() wakes.
+  enum class WakeOrder {
+    /// The longest-parked one, so work rotates over every worker. The
+    /// LocatorService's job pool: waking the last-parked one instead cost
+    /// `locate` 3-7% of its throughput.
+    kFirstParked,
+    /// The most recently parked one. Back-to-back short tasks (the
+    /// kernels' fork/join chunks) then stay on the core that ran the
+    /// previous one, with warm caches and not yet deep idle; rotating
+    /// moves each to a cold core.
+    kLastParked,
+  };
+
+  explicit ThreadPool(std::size_t workers,
+                      WakeOrder order = WakeOrder::kFirstParked);
   ~ThreadPool();  ///< Runs every queued task to completion, then joins
                   ///< (futures from submit() never dangle).
 
@@ -77,7 +94,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   mutable std::mutex mutex_;
-  std::condition_variable wake_;
+  std::vector<std::condition_variable> wake_;  ///< one per worker
+  std::deque<std::size_t> parked_;  ///< idle workers, in parking order
+  WakeOrder order_;
   std::condition_variable idle_;
   std::deque<Task> queue_;
   std::size_t active_ = 0;

@@ -6,7 +6,9 @@ tree: once on a fixture that MUST fire (proving the rule detects the
 violation it exists for) and once on a fixture that MUST pass (proving it
 does not cry wolf). A final test runs the full lint against the real
 repository and requires zero findings — the same invocation CI's
-static-analysis job uses.
+static-analysis job uses. tools/check_tile_symbols.py gets the same
+fire/pass treatment on canned `nm` listings (ctest runs it on the built
+library as tile_symbols).
 
 Run directly (python3 tests/test_lint.py) or via ctest (lint_selftest).
 """
@@ -21,6 +23,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 
+import check_tile_symbols as tile_symbols  # noqa: E402
 import scalocate_lint as lint  # noqa: E402
 
 
@@ -184,6 +187,65 @@ class HeaderUsingRule(unittest.TestCase):
                  "src/d.cpp": "using namespace std;\n"}
         with make_tree(files) as root:
             self.assertEqual(lint.check_header_using(Path(root)), [])
+
+
+class TileSymbolsCheck(unittest.TestCase):
+    GUARDED = ["gemm_avx2.cpp.o", "gemm_avx512.cpp.o"]
+    # `nm -A --defined-only libscalocate.a` lines: GNU nm prints
+    # `archive:member:address`, llvm-nm puts a space before the address.
+    ENTRIES = (
+        "lib.a:gemm_avx2.cpp.o:0000000000000000 T "
+        "_ZN9scalocate2nn7kernels6detail10sgemm_avx2EbbmmmfPKfmS4_mfPfmRNS1_11GemmScratchE\n"
+        "lib.a:gemm_avx512.cpp.o: 0000000000001290 T "
+        "_ZN9scalocate2nn7kernels6detail12sgemm_avx512EbbmmmfPKfmS4_mfPfmRNS1_11GemmScratchE\n"
+        "lib.a:gemm.cpp.o:0000000000000150 T "
+        "_ZN9scalocate2nn7kernels6detail4growERSt6vectorIfSaIfEEm\n")
+    # One instantiation per TU namespace (portable::, avx2::, avx512::).
+    PASS = ENTRIES + (
+        "lib.a:gemm.cpp.o:0000000000000000 W "
+        "_ZN9scalocate2nn7kernels6detail8portable12pack_block_aILm4EEEvbPKfmmmmmPf\n"
+        "lib.a:gemm_avx2.cpp.o:0000000000000000 W "
+        "_ZN9scalocate2nn7kernels6detail4avx212pack_block_aILm6EEEvbPKfmmmmmPf\n"
+        "lib.a:gemm_avx512.cpp.o: 0000000000000000 W "
+        "_ZN9scalocate2nn7kernels6detail6avx51212pack_block_aILm6EEEvbPKfmmmmmPf\n")
+    # Without per-TU identity, the <6, 16> and <6, 32> tiles both define
+    # pack_block_a<6> as the same weak symbol.
+    SHARED = "_ZN9scalocate2nn7kernels6detail12pack_block_aILm6EEEvbPKfmmmmmPf"
+    FIRE = ENTRIES + (
+        f"lib.a:gemm_avx2.cpp.o:0000000000000000 W {SHARED}\n"
+        f"lib.a:gemm_avx512.cpp.o: 0000000000000000 W {SHARED}\n")
+
+    def test_fires_on_weak_symbol_shared_by_two_isa_objects(self):
+        findings = tile_symbols.check(self.FIRE, self.GUARDED, True)
+        self.assertEqual(len(findings), 2)  # once from each side
+        for f in findings:
+            self.assertIn(self.SHARED, f)
+            self.assertIn("[tile-symbols]", f)
+        self.assertTrue(findings[0].startswith("gemm_avx2.cpp.o:"))
+        self.assertIn("gemm_avx512.cpp.o", findings[0])
+
+    def test_fires_on_weak_symbol_shared_with_a_baseline_object(self):
+        # std::min<unsigned long> is a weak symbol in every unoptimized TU
+        # that calls it.
+        std_min = "_ZSt3minImERKT_S2_S2_"
+        listing = self.PASS + (
+            f"lib.a:gemm_avx512.cpp.o: 0000000000000000 W {std_min}\n"
+            f"lib.a:detector.cpp.o:0000000000000000 W {std_min}\n")
+        findings = tile_symbols.check(listing, self.GUARDED, True)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("detector.cpp.o", findings[0])
+
+    def test_passes_with_per_tu_namespaces(self):
+        self.assertEqual(tile_symbols.check(self.PASS, self.GUARDED, True), [])
+
+    def test_fires_when_a_guarded_object_is_missing(self):
+        listing = "\n".join(line for line in self.PASS.splitlines()
+                            if "gemm_avx512" not in line)
+        findings = tile_symbols.check(listing, self.GUARDED, True)
+        self.assertEqual(len(findings), 1)
+        self.assertIn("gemm_avx512.cpp.o", findings[0])
+        # Off x86-64 the wide TUs compile empty, and that is not a finding.
+        self.assertEqual(tile_symbols.check(listing, self.GUARDED, False), [])
 
 
 class RepositoryIsClean(unittest.TestCase):

@@ -1,18 +1,25 @@
-// Kernel-backend parity suite: the blocked GEMM path vs the naive
-// reference kernels, the direct conv's arithmetic (a known-answer chain on
-// the AVX2 tile, parity for the portable tile), im2col/col2im round trips,
-// the fused pointwise ops, Tensor reshape/view semantics, and gradient
-// checks routed through the new backend (Conv1d/Linear/MaxPool1d).
+// Kernel-backend parity suite: every compiled kernel tile the host can run
+// (taken from the tile table, not only the dispatched one) vs the naive
+// reference kernels, the tile table itself, the direct conv's arithmetic
+// (a known-answer chain on the FMA tiles, parity for the portable tile),
+// im2col/col2im round trips, the fused pointwise ops, Tensor reshape/view
+// semantics, and gradient checks routed through the new backend
+// (Conv1d/Linear/MaxPool1d).
 //
-// This TU is built for the baseline ISA, so the only tile it may
-// instantiate from gemm_blocked.hpp is the portable <4, 8> one (see the
-// COMDAT note there).
+// This TU is built for the baseline ISA and calls the wide tiles only
+// through the table's function pointers, never by instantiating
+// gemm_blocked.hpp itself.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iostream>
 #include <limits>
+#include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -21,11 +28,11 @@
 #include "nn/gradcheck.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/gemm.hpp"
-#include "nn/kernels/gemm_blocked.hpp"
 #include "nn/kernels/pack.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
 #include "nn/kernels/reference.hpp"
+#include "nn/kernels/tiles.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/tensor.hpp"
@@ -66,7 +73,62 @@ void expect_bit_equal(std::span<const float> a, std::span<const float> b,
 }
 
 // ---------------------------------------------------------------------------
-// GEMM: blocked vs naive reference
+// Tile table: every compiled tile, widest first, dispatch = first supported
+// ---------------------------------------------------------------------------
+
+using kernels::detail::Tile;
+
+/// The table's entries the host can run. Dispatch is cpuid-only, so on an
+/// AVX-512 host the AVX2 and portable tiles run nowhere but here.
+std::vector<Tile> supported_tiles() {
+  std::vector<Tile> out;
+  for (const Tile& t : kernels::detail::tiles())
+    if (t.supported()) out.push_back(t);
+  return out;
+}
+
+/// The FMA tiles compute one fused multiply-add chain per output element
+/// and agree bitwise; the portable tile (baseline ISA, no FMA) does not.
+bool is_fma_tile(const Tile& t) {
+  return std::string_view(t.name) != "portable";
+}
+
+bool is_dispatched(const Tile& t) {
+  return std::string_view(t.name) == kernels::detail::dispatched_tile().name;
+}
+
+TEST(TileTable, ListsEveryCompiledTileAndDispatchesTheFirstSupported) {
+  const auto table = kernels::detail::tiles();
+  ASSERT_FALSE(table.empty());
+  std::vector<std::string> names;
+  for (const Tile& t : table) names.emplace_back(t.name);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(),
+            names.size())
+      << "tile names must be distinct";
+  EXPECT_EQ(names.back(), "portable");
+  EXPECT_TRUE(table.back().supported()) << "the portable tile runs anywhere";
+#if defined(__x86_64__)
+  EXPECT_EQ(names, (std::vector<std::string>{"avx512", "avx2", "portable"}));
+#else
+  EXPECT_EQ(names, std::vector<std::string>{"portable"});
+#endif
+
+  const Tile& dispatched = kernels::detail::dispatched_tile();
+  const auto first = std::find_if(table.begin(), table.end(),
+                                  [](const Tile& t) { return t.supported(); });
+  ASSERT_NE(first, table.end());
+  EXPECT_EQ(&dispatched, &*first);
+#if defined(__x86_64__)
+  if (__builtin_cpu_supports("avx512f")) {
+    EXPECT_STREQ(dispatched.name, "avx512");
+  }
+#endif
+  RecordProperty("kernel_tile", dispatched.name);
+  std::cout << "kernel tile: " << dispatched.name << "\n";
+}
+
+// ---------------------------------------------------------------------------
+// GEMM: every tile vs the naive reference; FMA tiles bitwise equal
 // ---------------------------------------------------------------------------
 
 struct GemmCase {
@@ -77,6 +139,7 @@ class GemmParity : public ::testing::TestWithParam<GemmCase> {};
 
 TEST_P(GemmParity, AllTransposesAlphaBeta) {
   const auto p = GetParam();
+  const std::vector<Tile> tiles = supported_tiles();
   kernels::GemmScratch scratch;
   std::uint64_t seed = 1000;
   for (bool ta : {false, true}) {
@@ -88,13 +151,30 @@ TEST_P(GemmParity, AllTransposesAlphaBeta) {
       const std::size_t ldb = tb ? p.k : p.n;
       for (float alpha : {1.0f, -0.5f}) {
         for (float beta : {0.0f, 1.0f, 0.25f}) {
-          auto c_ref = random_vec(p.m * p.n, seed);
-          auto c_blk = c_ref;  // identical prior contents for beta != 0
+          const auto c0 = random_vec(p.m * p.n, seed);
+          auto c_ref = c0;  // identical prior contents for beta != 0
           kernels::sgemm_naive(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda,
                                b.data(), ldb, beta, c_ref.data(), p.n);
+          std::vector<float> c_fma, c_dispatched;
+          for (const Tile& tile : tiles) {
+            SCOPED_TRACE(tile.name);
+            auto c_tile = c0;
+            tile.gemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda, b.data(),
+                      ldb, beta, c_tile.data(), p.n, scratch);
+            expect_close(c_tile, c_ref, 1e-5f, "gemm tile vs naive");
+            if (is_fma_tile(tile)) {
+              if (c_fma.empty())
+                c_fma = c_tile;
+              else
+                expect_bit_equal(c_tile, c_fma, "gemm, FMA tiles");
+            }
+            if (is_dispatched(tile)) c_dispatched = c_tile;
+          }
+          // The public entry (threaded or not) runs the dispatched tile.
+          auto c_pub = c0;
           kernels::sgemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda, b.data(),
-                         ldb, beta, c_blk.data(), p.n, scratch);
-          expect_close(c_blk, c_ref, 1e-5f, "gemm");
+                         ldb, beta, c_pub.data(), p.n, scratch);
+          expect_bit_equal(c_pub, c_dispatched, "sgemm vs dispatched tile");
         }
       }
       ++seed;
@@ -102,14 +182,15 @@ TEST_P(GemmParity, AllTransposesAlphaBeta) {
   }
 }
 
+// Cache blocks: kMC = 132 rows, kKC = 256 depth, kNC = 512 columns.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmParity,
     ::testing::Values(GemmCase{1, 1, 1}, GemmCase{3, 5, 7}, GemmCase{4, 8, 16},
-                      GemmCase{5, 9, 300},   // k spans multiple KC panels? no,
-                                             // but exercises long-k loop
-                      GemmCase{33, 17, 129}, // ragged in every dimension
+                      GemmCase{5, 9, 300},    // k spans two KC panels
+                      GemmCase{33, 17, 129},  // ragged in every dimension
                       GemmCase{64, 192, 257},
-                      GemmCase{130, 40, 300}));  // m spans multiple MC blocks
+                      GemmCase{130, 40, 300},  // two KC panels, one MC block
+                      GemmCase{137, 521, 300}));  // crosses MC, NC and KC
 
 TEST(Gemm, KZeroAppliesBetaOnly) {
   kernels::GemmScratch scratch;
@@ -251,16 +332,17 @@ struct DirectConvCase {
   std::size_t pad_left() const { return (k - 1) / 2; }  // "same" padding
 };
 
-/// Ragged cout (5, 33: not a multiple of the 4-row block) and out_len (37,
-/// 193: not a multiple of either tile width), k and cin in {1, 16}, batch
-/// 1 and 3; stride 1 with "same" padding, so n == out_len.
+/// Ragged cout (5, 33: not a multiple of the 4-row block), out_len 37 and
+/// 193 (not a multiple of any tile width) and 384 (whole 32-wide strips),
+/// cin in {1, 16, 32}, k in {1, 16, 64} (64 is the paper kernel), batch 1
+/// and 3; stride 1 with "same" padding, so n == out_len.
 std::vector<DirectConvCase> ragged_direct_cases() {
   std::vector<DirectConvCase> cases;
   for (std::size_t batch : {1u, 3u})
-    for (std::size_t cin : {1u, 16u})
+    for (std::size_t cin : {1u, 16u, 32u})
       for (std::size_t cout : {5u, 33u})
-        for (std::size_t k : {1u, 16u})
-          for (std::size_t out_len : {37u, 193u})
+        for (std::size_t k : {1u, 16u, 64u})
+          for (std::size_t out_len : {37u, 193u, 384u})
             cases.push_back({batch, cin, cout, k, out_len});
   return cases;
 }
@@ -281,7 +363,7 @@ std::string describe(const DirectConvCase& c) {
 }
 
 #if defined(__x86_64__)
-/// The chain the AVX2 direct conv computes for every output element:
+/// The chain the FMA direct convs compute for every output element:
 /// acc = 0 + bias[co], then one fused multiply-add per (ci, tap) in that
 /// order, reading the zero-padded input.
 std::vector<float> conv_fma_chain(const DirectConvCase& c,
@@ -312,58 +394,84 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
   // ConvParity's 1e-4 tolerance cannot see a reordered or re-associated
   // accumulation, but the benchmark's detection digests can.
 #if defined(__x86_64__)
-  // CMake always builds the AVX2 TU on x86-64, and sgemm_conv picks it
-  // whenever cpuid reports both features.
-  if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
-    GTEST_SKIP() << "host lacks AVX2+FMA: sgemm_conv runs the portable tile";
+  std::vector<Tile> fma_tiles;
+  for (const Tile& t : kernels::detail::tiles()) {
+    if (!is_fma_tile(t)) continue;
+    if (t.supported())
+      fma_tiles.push_back(t);
+    else
+      std::cout << "tile " << t.name
+                << " skipped: the host CPU does not support it\n";
+  }
+  if (fma_tiles.empty())
+    GTEST_SKIP() << "host lacks AVX2+FMA: only the portable tile runs";
+  // Any FMA tile is supported, so dispatch picks one of them.
+  ASSERT_TRUE(is_fma_tile(kernels::detail::dispatched_tile()));
   kernels::IntraOpGuard serial(1);
+  kernels::GemmScratch scratch;
   for (const DirectConvCase& c : ragged_direct_cases()) {
     SCOPED_TRACE(describe(c));
     const DirectConvData d(c);
-    std::vector<float> out(c.batch * c.cout * c.out_len,
+    const std::vector<float> chain = conv_fma_chain(c, d);
+    for (const Tile& tile : fma_tiles) {
+      SCOPED_TRACE(tile.name);
+      std::vector<float> out(c.batch * c.cout * c.out_len,
+                             std::numeric_limits<float>::quiet_NaN());
+      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
+                d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(), out.data(),
+                scratch);
+      expect_bit_equal(out, chain, "FMA direct conv vs scalar chain");
+    }
+    // The public entry runs the dispatched tile, so it computes the chain
+    // too.
+    std::vector<float> pub(c.batch * c.cout * c.out_len,
                            std::numeric_limits<float>::quiet_NaN());
-    kernels::GemmScratch scratch;
     kernels::sgemm_conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
                         d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
-                        out.data(), scratch);
-    expect_bit_equal(out, conv_fma_chain(c, d), "avx2 direct conv");
+                        pub.data(), scratch);
+    expect_bit_equal(pub, chain, "sgemm_conv vs scalar chain");
   }
 #else
-  GTEST_SKIP() << "the AVX2 tile exists only in x86-64 builds";
+  GTEST_SKIP() << "the FMA tiles exist only in x86-64 builds";
 #endif
 }
 
 TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
-  // Dispatch is cpuid-only, so on an AVX2 host the portable tile runs
-  // nowhere else; call it directly.
+  // Every supported tile, the portable one included (on an FMA host it
+  // runs nowhere else): within tolerance of the naive conv, and each
+  // batch-1 call bitwise equal to its row of the batched call.
+  const std::vector<Tile> tiles = supported_tiles();
+  ASSERT_EQ(std::string_view(tiles.back().name), "portable");
+  kernels::GemmScratch scratch;
   for (const DirectConvCase& c : ragged_direct_cases()) {
     SCOPED_TRACE(describe(c));
     const DirectConvData d(c);
     const std::size_t n = c.out_len;
     const std::size_t out_item = c.cout * c.out_len;
-    std::vector<float> out(c.batch * out_item,
-                           std::numeric_limits<float>::quiet_NaN());
-    kernels::GemmScratch scratch;
-    kernels::detail::sgemm_conv_blocked<4, 8>(
-        c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(), d.x.data(),
-        c.cin, n, c.k, 1, c.pad_left(), out.data(), scratch);
-
     std::vector<float> ref(c.batch * out_item);
     kernels::conv1d_forward_naive(d.x.data(), c.batch, c.cin, n, d.w.data(),
                                   d.bias.data(), c.cout, c.k, 1, c.pad_left(),
                                   c.out_len, ref.data());
-    expect_close(out, ref, 1e-4f, "portable direct conv vs naive");
+    for (const Tile& tile : tiles) {
+      SCOPED_TRACE(tile.name);
+      std::vector<float> out(c.batch * out_item,
+                             std::numeric_limits<float>::quiet_NaN());
+      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
+                d.x.data(), c.cin, n, c.k, 1, c.pad_left(), out.data(),
+                scratch);
+      expect_close(out, ref, 1e-4f, "direct conv vs naive");
 
-    for (std::size_t b = 0; b < c.batch; ++b) {
-      std::vector<float> one(out_item, std::numeric_limits<float>::quiet_NaN());
-      kernels::detail::sgemm_conv_blocked<4, 8>(
-          c.cout, c.out_len, 1, d.w.data(), d.bias.data(),
-          d.x.data() + b * c.cin * n, c.cin, n, c.k, 1, c.pad_left(),
-          one.data(), scratch);
-      expect_bit_equal(
-          one,
-          std::span<const float>(out).subspan(b * out_item, out_item),
-          "portable direct conv, batch-1 call vs batched row");
+      for (std::size_t b = 0; b < c.batch; ++b) {
+        std::vector<float> one(out_item,
+                               std::numeric_limits<float>::quiet_NaN());
+        tile.conv(c.cout, c.out_len, 1, d.w.data(), d.bias.data(),
+                  d.x.data() + b * c.cin * n, c.cin, n, c.k, 1, c.pad_left(),
+                  one.data(), scratch);
+        expect_bit_equal(
+            one,
+            std::span<const float>(out).subspan(b * out_item, out_item),
+            "direct conv, batch-1 call vs batched row");
+      }
     }
   }
 }
@@ -445,9 +553,9 @@ TEST(GemmThreaded, BitIdenticalAcrossThreadCounts) {
   };
   // Wide shapes take the column partition, the tall one the row partition
   // (n = 8 < kMinColsPerChunk); the last is ragged in every dimension and
-  // spans multiple cache blocks.
+  // crosses the MC (132 rows) and KC (256 depth) cache blocks.
   for (const auto& p :
-       {Shape{5, 301, 40}, Shape{301, 8, 40}, Shape{130, 97, 129}}) {
+       {Shape{5, 301, 40}, Shape{301, 8, 40}, Shape{137, 97, 300}}) {
     std::uint64_t seed = 900;
     for (bool ta : {false, true}) {
       for (bool tb : {false, true}) {

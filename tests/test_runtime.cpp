@@ -6,12 +6,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <future>
 #include <limits>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "core/locator.hpp"
@@ -147,6 +152,65 @@ TEST(ThreadPool, RunsAllTasksAndReportsWorkerIndex) {
   pool.wait_idle();
   EXPECT_EQ(pool.pending(), 0u);
 }
+
+/// Posts `n` tasks that each wait (up to 10 s) until all `n` are running;
+/// true when they met, i.e. `n` workers ran at once.
+bool tasks_meet(runtime::ThreadPool& pool, std::size_t n) {
+  std::mutex mutex;
+  std::condition_variable all_in;
+  std::size_t running = 0;
+  std::vector<std::future<bool>> met;
+  for (std::size_t i = 0; i < n; ++i) {
+    met.push_back(pool.submit([&](std::size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      if (++running == n) all_in.notify_all();
+      return all_in.wait_for(lock, std::chrono::seconds(10),
+                             [&] { return running == n; });
+    }));
+  }
+  bool all_met = true;
+  for (auto& f : met) all_met = f.get() && all_met;
+  return all_met;
+}
+
+using WakeOrder = runtime::ThreadPool::WakeOrder;
+
+class ThreadPoolWake : public ::testing::TestWithParam<WakeOrder> {};
+
+TEST_P(ThreadPoolWake, ConcurrentTasksWakeDistinctWorkers) {
+  // Each post wakes a different parked worker, so four tasks that wait
+  // for each other all get to run at once.
+  runtime::ThreadPool pool(4, GetParam());
+  EXPECT_TRUE(tasks_meet(pool, 4));
+}
+
+TEST_P(ThreadPoolWake, SequentialTasksFollowTheWakeOrder) {
+  runtime::ThreadPool pool(4, GetParam());
+  // Every worker has started and, once idle, parked: a worker parks in
+  // the same critical section that marks it idle.
+  ASSERT_TRUE(tasks_meet(pool, 4));
+  pool.wait_idle();
+  std::vector<std::size_t> ran_on;
+  for (int i = 0; i < 12; ++i) {
+    pool.post([&ran_on](std::size_t worker) { ran_on.push_back(worker); });
+    pool.wait_idle();
+  }
+  ASSERT_EQ(ran_on.size(), 12u);
+  if (GetParam() == WakeOrder::kLastParked) {
+    // The worker that ran last is the last parked: it takes every task.
+    for (std::size_t worker : ran_on) EXPECT_EQ(worker, ran_on.front());
+  } else {
+    // Each task goes to the longest-parked worker: a cycle over all four.
+    EXPECT_EQ(std::set<std::size_t>(ran_on.begin(), ran_on.end()).size(),
+              4u);
+    for (std::size_t i = 4; i < ran_on.size(); ++i)
+      EXPECT_EQ(ran_on[i], ran_on[i - 4]);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Orders, ThreadPoolWake,
+                         ::testing::Values(WakeOrder::kFirstParked,
+                                           WakeOrder::kLastParked));
 
 TEST(ThreadPool, PropagatesExceptionsThroughFutures) {
   runtime::ThreadPool pool(2);

@@ -37,65 +37,72 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
   Tensor& cached_normalized = slot.a;
   std::vector<float>& cached_inv_std = slot.scalars;
 
-  for (std::size_t c = 0; c < channels_; ++c) {
-    double mean = 0.0;
-    double var = 0.0;
-    if (training_) {
-      for (std::size_t b = 0; b < batch; ++b)
-        mean += kernels::sum(n, input.data() + (b * channels_ + c) * n);
-      mean /= static_cast<double>(count);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const float* row = input.data() + (b * channels_ + c) * n;
-        for (std::size_t i = 0; i < n; ++i) {
-          const double d = static_cast<double>(row[i]) - mean;
-          var += d * d;
-        }
-      }
-      var /= static_cast<double>(count);
-      running_mean_[c] = static_cast<float>(
-          (1.0 - momentum_) * static_cast<double>(running_mean_[c]) +
-          momentum_ * mean);
-      running_var_[c] = static_cast<float>(
-          (1.0 - momentum_) * static_cast<double>(running_var_[c]) +
-          momentum_ * var);
-    } else {
-      mean = running_mean_[c];
-      var = running_var_[c];
-    }
-
-    const double inv_std = 1.0 / std::sqrt(var + eps_);
-    cached_inv_std[c] = static_cast<float>(inv_std);
-    if (training_) {
-      // Training keeps the normalize in double (as pre-backend): xhat
-      // feeds every gradient, and single-rounded statistics keep the
-      // training trajectory identical across kernel backends.
-      const float g = gamma_.value.at(c);
-      const float be = beta_.value.at(c);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t off = (b * channels_ + c) * n;
-        const float* row = input.data() + off;
-        float* nrow = cached_normalized.data() + off;
-        float* orow = out.data() + off;
-        for (std::size_t i = 0; i < n; ++i) {
-          const float xhat =
-              static_cast<float>((static_cast<double>(row[i]) - mean) * inv_std);
-          nrow[i] = xhat;
-          orow[i] = g * xhat + be;
-        }
-      }
-    } else {
-      // Eval (serving) path: fused single-precision normalize + affine —
-      // one pass writes both the xhat cache and the output row.
+  if (!training_) {
+    // Eval (serving) path: fused single-precision normalize + affine —
+    // one pass writes both the xhat cache and the output row.
+    const kernels::ConvEpilogue affine = eval_affine(cached_inv_std.data());
+    for (std::size_t c = 0; c < channels_; ++c) {
       for (std::size_t b = 0; b < batch; ++b) {
         const std::size_t off = (b * channels_ + c) * n;
         kernels::normalize_scale_shift(
-            n, input.data() + off, static_cast<float>(mean),
-            static_cast<float>(inv_std), gamma_.value.at(c), beta_.value.at(c),
-            cached_normalized.data() + off, out.data() + off);
+            n, input.data() + off, affine.mean[c], affine.inv_std[c],
+            affine.gamma[c], affine.beta[c], cached_normalized.data() + off,
+            out.data() + off);
+      }
+    }
+    return out;
+  }
+
+  for (std::size_t c = 0; c < channels_; ++c) {
+    double mean = 0.0;
+    double var = 0.0;
+    for (std::size_t b = 0; b < batch; ++b)
+      mean += kernels::sum(n, input.data() + (b * channels_ + c) * n);
+    mean /= static_cast<double>(count);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const float* row = input.data() + (b * channels_ + c) * n;
+      for (std::size_t i = 0; i < n; ++i) {
+        const double d = static_cast<double>(row[i]) - mean;
+        var += d * d;
+      }
+    }
+    var /= static_cast<double>(count);
+    running_mean_[c] = static_cast<float>(
+        (1.0 - momentum_) * static_cast<double>(running_mean_[c]) +
+        momentum_ * mean);
+    running_var_[c] = static_cast<float>(
+        (1.0 - momentum_) * static_cast<double>(running_var_[c]) +
+        momentum_ * var);
+
+    const double inv_std = 1.0 / std::sqrt(var + eps_);
+    cached_inv_std[c] = static_cast<float>(inv_std);
+    // Training keeps the normalize in double (as pre-backend): xhat
+    // feeds every gradient, and single-rounded statistics keep the
+    // training trajectory identical across kernel backends.
+    const float g = gamma_.value.at(c);
+    const float be = beta_.value.at(c);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::size_t off = (b * channels_ + c) * n;
+      const float* row = input.data() + off;
+      float* nrow = cached_normalized.data() + off;
+      float* orow = out.data() + off;
+      for (std::size_t i = 0; i < n; ++i) {
+        const float xhat =
+            static_cast<float>((static_cast<double>(row[i]) - mean) * inv_std);
+        nrow[i] = xhat;
+        orow[i] = g * xhat + be;
       }
     }
   }
   return out;
+}
+
+kernels::ConvEpilogue BatchNorm1d::eval_affine(float* inv_std) const {
+  for (std::size_t c = 0; c < channels_; ++c)
+    inv_std[c] = static_cast<float>(
+        1.0 / std::sqrt(static_cast<double>(running_var_[c]) + eps_));
+  return {running_mean_.data(), inv_std, gamma_.value.data(),
+          beta_.value.data(), /*relu=*/false};
 }
 
 Item BatchNorm1d::eval_item(const Item& in, EvalLane& lane) const {
@@ -104,17 +111,13 @@ Item BatchNorm1d::eval_item(const Item& in, EvalLane& lane) const {
                           std::to_string(channels_) + ", N], got " +
                           in.shape_string());
   const std::size_t n = in.dims[1];
+  const kernels::ConvEpilogue affine = eval_affine(lane.push(channels_));
   float* y = lane.output_for(in);
   // forward's eval branch per channel row, minus the xhat cache.
-  for (std::size_t c = 0; c < channels_; ++c) {
-    const double mean = running_mean_[c];
-    const double inv_std =
-        1.0 / std::sqrt(static_cast<double>(running_var_[c]) + eps_);
-    kernels::normalize_scale_shift(
-        n, in.data + c * n, static_cast<float>(mean),
-        static_cast<float>(inv_std), gamma_.value.at(c), beta_.value.at(c),
-        nullptr, y + c * n);
-  }
+  for (std::size_t c = 0; c < channels_; ++c)
+    kernels::normalize_scale_shift(n, in.data + c * n, affine.mean[c],
+                                   affine.inv_std[c], affine.gamma[c],
+                                   affine.beta[c], nullptr, y + c * n);
   return in.with_data(y);
 }
 

@@ -25,6 +25,17 @@ class BatchNorm1d final : public Layer {
   }
   std::string name() const override;
 
+  std::size_t channels() const { return channels_; }
+
+  /// The eval-mode affine y = gamma * ((x - mean) * inv_std) + beta as a
+  /// conv epilogue without ReLU: fills inv_std[c] = float(1 /
+  /// sqrt(double(var[c]) + eps)) from the running variance, read now, into
+  /// `inv_std` (channels() floats), and points at the running mean, gamma
+  /// and beta as stored. Nothing is cached across calls. The eval forward
+  /// and eval_item use it too, so the fused conv block and this layer
+  /// share one rule.
+  kernels::ConvEpilogue eval_affine(float* inv_std) const;
+
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
   std::span<const float> running_mean() const { return running_mean_; }

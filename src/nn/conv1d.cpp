@@ -67,6 +67,11 @@ Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
 }
 
 Item Conv1d::eval_item(const Item& in, EvalLane& lane) const {
+  return eval_item(in, lane, nullptr);
+}
+
+Item Conv1d::eval_item(const Item& in, EvalLane& lane,
+                       const kernels::ConvEpilogue* epilogue) const {
   if (in.rank != 2 || in.dims[0] != in_channels_)
     throw InvalidArgument("Conv1d::eval_item: expected [Cin=" +
                           std::to_string(in_channels_) + ", N], got " +
@@ -78,7 +83,8 @@ Item Conv1d::eval_item(const Item& in, EvalLane& lane) const {
   // splits the output channels across the intra-op budget.
   kernels::sgemm_conv(out_channels_, out_len, 1, weight_.value.data(),
                       bias_.value.data(), in.data, in_channels_, n,
-                      kernel_size_, stride_, pad_left_, y, lane.gemm());
+                      kernel_size_, stride_, pad_left_, y, lane.gemm(),
+                      epilogue);
   Item out = in.with_data(y);
   out.dims = {out_channels_, out_len};
   return out;

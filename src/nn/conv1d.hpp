@@ -25,6 +25,11 @@ class Conv1d final : public Layer {
   using Layer::forward;
   Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
+  /// eval_item with `epilogue` applied by the conv kernel before its store
+  /// (stride 1 only): a conv block's BatchNorm and ReLU in the same call,
+  /// as Sequential fuses them. Null is the plain eval_item.
+  Item eval_item(const Item& in, EvalLane& lane,
+                 const kernels::ConvEpilogue* epilogue) const;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
   std::string name() const override;

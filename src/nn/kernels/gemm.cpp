@@ -2,11 +2,31 @@
 
 #include <algorithm>
 
-// The portable tile's instantiations; see the per-TU identity note there.
-#define SCALOCATE_TILE_ISA portable
-#include "nn/kernels/gemm_blocked.hpp"
+#include "common/error.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/tiles.hpp"
+
+// The portable tile's instantiations (see the notes in gemm_blocked.hpp):
+// 4-float GNU vectors the compiler lowers to whatever the baseline ISA
+// has, and a multiply then an add where the FMA tiles fuse them.
+#define SCALOCATE_TILE_ISA portable
+
+namespace scalocate::nn::kernels::detail::portable {
+
+typedef float vf __attribute__((vector_size(4 * sizeof(float))));
+constexpr std::size_t kVL = 4;
+inline vf load(const float* p) {
+  vf v;
+  __builtin_memcpy(&v, p, sizeof(vf));
+  return v;
+}
+inline void store(float* p, vf v) { __builtin_memcpy(p, &v, sizeof(vf)); }
+inline vf splat(float s) { return vf{s, s, s, s}; }
+inline vf fmadd(vf a, vf b, vf c) { return a * b + c; }
+
+}  // namespace scalocate::nn::kernels::detail::portable
+
+#include "nn/kernels/gemm_blocked.hpp"
 
 #if defined(SCALOCATE_PROFILE)
 #include <map>
@@ -71,7 +91,7 @@ void sgemm_conv_avx512(std::size_t cout, std::size_t out_len, std::size_t batch,
                        const float* w, const float* bias, const float* x,
                        std::size_t cin, std::size_t n, std::size_t kernel,
                        std::size_t stride, std::size_t pad_left, float* out,
-                       GemmScratch& scratch);
+                       GemmScratch& scratch, const ConvEpilogue* epilogue);
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float beta, float* c,
@@ -80,7 +100,7 @@ void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
                      const float* w, const float* bias, const float* x,
                      std::size_t cin, std::size_t n, std::size_t kernel,
                      std::size_t stride, std::size_t pad_left, float* out,
-                     GemmScratch& scratch);
+                     GemmScratch& scratch, const ConvEpilogue* epilogue);
 #endif
 
 namespace {
@@ -100,13 +120,18 @@ bool cpu_has_avx2_fma() {
 
 bool any_cpu() { return true; }
 
+static_assert(kPortableConvBlock.lanes == portable::kVL);
+
 constexpr Tile kTiles[] = {
 #if defined(SCALOCATE_GEMM_X86_64)
-    {"avx512", cpu_has_avx512, sgemm_avx512, sgemm_conv_avx512},
-    {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2},
+    {"avx512", cpu_has_avx512, sgemm_avx512, sgemm_conv_avx512,
+     kAvx512ConvBlock},
+    {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2, kAvx2ConvBlock},
 #endif
     {"portable", any_cpu, portable::sgemm_blocked<4, 8>,
-     portable::sgemm_conv_blocked<4, 8>},
+     portable::sgemm_conv_blocked<4, 8, kPortableConvBlock.rows,
+                                  kPortableConvBlock.vectors>,
+     kPortableConvBlock},
 };
 
 }  // namespace
@@ -149,8 +174,6 @@ std::size_t chunks_for(std::size_t extent, std::size_t min_per_chunk,
 // another value.
 constexpr std::size_t kMinColsPerChunk = 32;
 constexpr std::size_t kMinRowsPerChunk = 32;
-// Output channels per conv chunk: one MRC register block of conv_direct.
-constexpr std::size_t kMinCoutPerChunk = 4;
 
 /// Grows the scratch lanes OUTSIDE the parallel region (lane() mutates a
 /// vector and must not race), then runs fn(chunk, lane) over the pool.
@@ -223,7 +246,9 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
                 const float* w, const float* bias, const float* x,
                 std::size_t cin, std::size_t n, std::size_t kernel,
                 std::size_t stride, std::size_t pad_left, float* out,
-                GemmScratch& scratch) {
+                GemmScratch& scratch, const ConvEpilogue* epilogue) {
+  if (epilogue != nullptr && stride != 1)
+    throw InvalidArgument("sgemm_conv: an epilogue needs stride 1");
   if (cout == 0 || out_len == 0 || batch == 0) return;
 #if defined(SCALOCATE_PROFILE)
   static obs::Counter& calls = profile_counter("kernels.conv.calls");
@@ -232,7 +257,8 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
   flops.add(2ull * batch * cout * out_len * cin * kernel);
   obs::SpanTimer span(shape_histogram("conv", cout, out_len, cin * kernel));
 #endif
-  const detail::ConvEntry sgemm_conv_st = detail::dispatched_tile().conv;
+  const detail::Tile& tile = detail::dispatched_tile();
+  const detail::ConvEntry sgemm_conv_st = tile.conv;
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
       2ull * batch * cout * out_len * cin * kernel >= parallel_min_flops()) {
@@ -243,28 +269,38 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [b0, len] = chunk_range(batch, chunks, ci);
         sgemm_conv_st(cout, out_len, len, w, bias, x + b0 * cin * n, cin, n,
-                      kernel, stride, pad_left, out + b0 * cout * out_len,
-                      ls);
+                      kernel, stride, pad_left, out + b0 * cout * out_len, ls,
+                      epilogue);
       });
       return;
     }
     // Single item (streaming single-window scoring): split the output
-    // channels — each chunk owns a [c0, c0+len) slab of the output and its
-    // matching weight rows; the per-channel tap accumulation order is
-    // untouched, so this too is bit-identical.
-    const std::size_t chunks = chunks_for(cout, kMinCoutPerChunk, budget);
+    // channels in whole register blocks of the tile — each chunk owns a
+    // [c0, c0+len) slab of the output, its weight rows and its slice of
+    // the epilogue; the per-channel tap accumulation order is untouched,
+    // so this too is bit-identical.
+    const std::size_t rows = tile.conv_block.rows;
+    const std::size_t blocks = (cout + rows - 1) / rows;
+    const std::size_t chunks = std::min(budget, blocks);
     if (chunks > 1) {
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
-        const auto [c0, len] = chunk_range(cout, chunks, ci);
+        const auto [blk0, nblk] = chunk_range(blocks, chunks, ci);
+        const std::size_t c0 = blk0 * rows;
+        const std::size_t len = std::min(cout, (blk0 + nblk) * rows) - c0;
+        ConvEpilogue slice{};
+        if (epilogue != nullptr)
+          slice = {epilogue->mean + c0, epilogue->inv_std + c0,
+                   epilogue->gamma + c0, epilogue->beta + c0, epilogue->relu};
         sgemm_conv_st(len, out_len, batch, w + c0 * cin * kernel,
                       bias != nullptr ? bias + c0 : nullptr, x, cin, n,
-                      kernel, stride, pad_left, out + c0 * out_len, ls);
+                      kernel, stride, pad_left, out + c0 * out_len, ls,
+                      epilogue != nullptr ? &slice : nullptr);
       });
       return;
     }
   }
   sgemm_conv_st(cout, out_len, batch, w, bias, x, cin, n, kernel, stride,
-                pad_left, out, scratch);
+                pad_left, out, scratch, epilogue);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,

@@ -12,6 +12,8 @@
 // Both entry points run the widest kernel tile the CPU supports
 // (tiles.hpp: AVX-512, AVX2 or portable). The AVX-512 and AVX2 tiles give
 // bit-identical results; the portable tile (no FMA) does not.
+// Stride-1 convs can also apply a conv block's BatchNorm and ReLU to
+// their accumulators (ConvEpilogue), bitwise equal to the separate passes.
 //
 // sgemm_naive() is the reference kernel: a plain triple loop with
 // double-precision accumulation, kept (and unit-tested against) so the
@@ -78,20 +80,38 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            const float* b, std::size_t ldb, float beta, float* c,
            std::size_t ldc, GemmScratch& scratch);
 
+/// Eval-mode BatchNorm, and optionally ReLU, applied per output channel
+/// to a stride-1 conv's accumulators before they are stored (the paper's
+/// conv block in one kernel call). Each array holds one value per output
+/// channel. For a conv result a the stored value is
+///   h = (a - mean) * inv_std;  y = gamma * h + beta;  y = y > 0 ? y : 0
+/// (the last step only with `relu`): the float sequence of
+/// normalize_scale_shift() followed by relu(), rounded the same way
+/// because the library is built without floating-point contraction.
+struct ConvEpilogue {
+  const float* mean;
+  const float* inv_std;
+  const float* gamma;
+  const float* beta;
+  bool relu;
+};
+
 /// Fused batched convolution forward:
 /// out[b] = W * im2col(x[b]) + bias for x [batch, cin, n] and
 /// out [batch, cout, out_len]. Stride 1 runs the pack-free direct conv:
 /// each tile of outputs accumulates in registers while reading x in place,
-/// starting from the bias. Other strides run as a single blocked GEMM
+/// starting from the bias, and a non-null `epilogue` is applied to the
+/// tile before it is stored. Other strides run as a single blocked GEMM
 /// whose column matrix is virtual (the packing stage reads x directly)
-/// and whose bias rides the first-panel write-back. Either way the output
-/// is written in one pass. `bias` may be null. out_len must equal
-/// conv_output_length(...).
+/// and whose bias rides the first-panel write-back; they take no epilogue
+/// (InvalidArgument). Either way the output is written in one pass.
+/// `bias` may be null. out_len must equal conv_output_length(...).
 void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
                 const float* w, const float* bias, const float* x,
                 std::size_t cin, std::size_t n, std::size_t kernel,
                 std::size_t stride, std::size_t pad_left, float* out,
-                GemmScratch& scratch);
+                GemmScratch& scratch,
+                const ConvEpilogue* epilogue = nullptr);
 
 /// Reference kernel: naive triple loop, double accumulators. Same
 /// contract as sgemm. Used by the parity tests and as the baseline in

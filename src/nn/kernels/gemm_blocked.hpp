@@ -1,15 +1,22 @@
 // Internal: the cache-blocked GEMM and the direct conv, templated on the
-// register-tile shape (MR x NR), a B-packing policy, and a C-placement
-// policy.
+// register-tile shape, a B-packing policy, and a C-placement policy.
 //
 // The templates are instantiated in three translation units, each with its
 // own tile and compiler flags:
-//   - gemm.cpp          -> <4, 8>   (portable baseline ISA)
-//   - gemm_avx2.cpp     -> <6, 16>  (compiled with -mavx2 -mfma)
-//   - gemm_avx512.cpp   -> <6, 32>  (compiled with -mavx512f -mfma)
+//   - gemm.cpp          -> GEMM <4, 8>,  conv 4x8   (portable baseline ISA)
+//   - gemm_avx2.cpp     -> GEMM <6, 16>, conv 4x16  (-mavx2 -mfma)
+//   - gemm_avx512.cpp   -> GEMM <6, 32>, conv 8x48  (-mavx512f -mfma)
 // The tile table in tiles.hpp lists them widest first, and sgemm() runs the
 // first one the CPU supports. Keeping the bodies templates (instead of
 // ifdef'd copies) means one algorithm, three codegens.
+//
+// Per-TU vector primitives: before the include, the TU defines in
+// detail::SCALOCATE_TILE_ISA the vector type `vf` of kVL floats (16 for
+// AVX-512, 8 for AVX2, 4 for portable) and load/store (unaligned), splat
+// and fmadd(a, b, c) = a * b + c. fmadd is the tiles' only multiply-add:
+// one vfmadd (one rounding) in the FMA TUs, a multiply and an add in the
+// portable TU. The library is built with -ffp-contract=off, so the
+// compiler fuses nothing else, at any optimization level.
 //
 // Per-TU identity: an includer defines SCALOCATE_TILE_ISA to a namespace
 // name of its own first, and everything below lives in
@@ -30,7 +37,8 @@
 //     k-panel write-back.
 // Together they make a strided conv forward a single GEMM over the whole
 // batch. Stride-1 convs (every conv of the paper model) skip them and run
-// the pack-free conv_direct.
+// the pack-free conv_direct, which can also apply a conv block's BatchNorm
+// and ReLU before its store (ConvEpilogue).
 #pragma once
 
 #if !defined(SCALOCATE_TILE_ISA)
@@ -282,37 +290,31 @@ struct BatchedConvCStore {
 
 /// acc[MR][NR] = pa panel * pb panel over kc steps.
 ///
-/// Written with GNU vector extensions so the accumulators are explicit
-/// vector registers (GCC's auto-vectorizer spills a plain MR*NR scalar
-/// array): MR x NR/VL vector accumulators live across the whole k loop,
-/// each step loads MR + NR floats and issues MR*NR/VL fused mul-adds. The
-/// vector width comes from the tile, VL = NR / 2 (two vectors per row: 4
-/// floats for the portable tile, 8 for AVX2, 16 for AVX-512); targets
-/// without the matching ISA get the ops lowered by the compiler, so the
-/// template stays portable.
+/// The accumulators are explicit vector registers (GCC's auto-vectorizer
+/// spills a plain MR*NR scalar array): MR x NR/kVL vectors live across the
+/// whole k loop, each step loads MR + NR floats and issues MR*NR/kVL
+/// fmadds. Every GEMM tile is two vectors wide.
 template <std::size_t MR, std::size_t NR>
 inline void micro_kernel(std::size_t kc, const float* pa, const float* pb,
                          float* acc) {
-  constexpr std::size_t VL = NR / 2;
-  static_assert(NR % VL == 0);
-  constexpr std::size_t NV = NR / VL;
-  typedef float vf __attribute__((vector_size(VL * sizeof(float))));
+  static_assert(NR % kVL == 0);
+  constexpr std::size_t NV = NR / kVL;
 
   vf c[MR][NV] = {};
   for (std::size_t p = 0; p < kc; ++p) {
     const float* arow = pa + p * MR;
     const float* brow = pb + p * NR;
     vf b[NV];
-    for (std::size_t v = 0; v < NV; ++v)
-      __builtin_memcpy(&b[v], brow + v * VL, sizeof(vf));  // unaligned load
+    for (std::size_t v = 0; v < NV; ++v) b[v] = load(brow + v * kVL);
     for (std::size_t ir = 0; ir < MR; ++ir) {
-      const float av = arow[ir];  // splatted by the vector-scalar op below
-      for (std::size_t v = 0; v < NV; ++v) c[ir][v] += b[v] * av;
+      const vf av = splat(arow[ir]);
+      for (std::size_t v = 0; v < NV; ++v)
+        c[ir][v] = fmadd(b[v], av, c[ir][v]);
     }
   }
   for (std::size_t ir = 0; ir < MR; ++ir)
     for (std::size_t v = 0; v < NV; ++v)
-      __builtin_memcpy(acc + ir * NR + v * VL, &c[ir][v], sizeof(vf));
+      store(acc + ir * NR + v * kVL, c[ir][v]);
 }
 
 /// The blocked driver: pack B strip -> pack A block -> register-tiled
@@ -369,36 +371,101 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                              PlainCStore{c, ldc, beta}, scratch);
 }
 
+/// One MRC x NVC tile of conv_direct: output channels co0 + [0, mc) at the
+/// nr output positions from x's first column. `x` points into the padded
+/// staging copy (row stride np) and `c` at the tile's first output (row
+/// stride ldc); wrow and seed hold each tile row's weights and first chain
+/// value, with tail rows repeating the last valid one.
+///
+/// Out of line on purpose: inlined into conv_direct's strip loop, GCC
+/// hoists the seeds and the epilogue's zero out of it and keeps them in
+/// registers through the tap loop, which leaves the 16-register AVX2 tile
+/// one short and spills an input vector to the stack. One call per tile
+/// costs nothing beside its cin * kernel taps.
+template <std::size_t MRC, std::size_t NVC>
+[[gnu::noinline]] void conv_tile(const float* const* wrow, const float* seed,
+                                 const float* x, std::size_t np,
+                                 std::size_t cin, std::size_t kernel,
+                                 const ConvEpilogue* epilogue, std::size_t co0,
+                                 std::size_t mc, float* c, std::size_t ldc,
+                                 std::size_t nr) {
+  constexpr std::size_t NR = NVC * kVL;
+  vf acc[MRC][NVC];
+  for (std::size_t ir = 0; ir < MRC; ++ir)
+    for (std::size_t v = 0; v < NVC; ++v) acc[ir][v] = splat(seed[ir]);
+  for (std::size_t ci = 0; ci < cin; ++ci) {
+    // Output position jr, tap t reads x[ci, jr + t].
+    const float* xrow = x + ci * np;
+    const std::size_t wci = ci * kernel;
+    for (std::size_t tap = 0; tap < kernel; ++tap) {
+      vf xv[NVC];
+      for (std::size_t v = 0; v < NVC; ++v) xv[v] = load(xrow + tap + v * kVL);
+      for (std::size_t ir = 0; ir < MRC; ++ir) {
+        const vf wv = splat(wrow[ir][wci + tap]);
+        for (std::size_t v = 0; v < NVC; ++v)
+          acc[ir][v] = fmadd(xv[v], wv, acc[ir][v]);
+      }
+    }
+  }
+  for (std::size_t ir = 0; ir < MRC; ++ir) {
+    if (ir >= mc) break;
+    if (epilogue != nullptr) {
+      // normalize_scale_shift's two steps, then relu's select.
+      const std::size_t co = co0 + ir;
+      const vf mean = splat(epilogue->mean[co]);
+      const vf inv_std = splat(epilogue->inv_std[co]);
+      const vf gamma = splat(epilogue->gamma[co]);
+      const vf beta = splat(epilogue->beta[co]);
+      const vf zero = splat(0.0f);
+      for (std::size_t v = 0; v < NVC; ++v) {
+        const vf h = (acc[ir][v] - mean) * inv_std;
+        const vf y = gamma * h + beta;
+        acc[ir][v] = epilogue->relu ? (y > zero ? y : zero) : y;
+      }
+    }
+    float* crow = c + ir * ldc;
+    if (nr == NR) {
+      for (std::size_t v = 0; v < NVC; ++v) store(crow + v * kVL, acc[ir][v]);
+    } else {
+      float tail[NR];
+      for (std::size_t v = 0; v < NVC; ++v) store(tail + v * kVL, acc[ir][v]);
+      for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] = tail[jr];
+    }
+  }
+}
+
 /// Direct register-tiled stride-1 convolution: no packing at all. The
 /// sliding-window structure means every "column matrix" strip is just a
 /// shifted slice of an input row, so the micro-kernel reads x in place
 /// (the per-item input is L1-sized for the paper model) while MRC output
-/// channels x NR output positions accumulate in vector registers. This
-/// beats im2col+GEMM whenever Cout is small: packing traffic cannot be
-/// amortized over few GEMM rows, and here there is none.
+/// channels x NVC vectors of output positions accumulate in vector
+/// registers (conv_tile). This beats im2col+GEMM whenever Cout is small:
+/// packing traffic cannot be amortized over few GEMM rows, and here there
+/// is none.
 ///
 /// Each output element is one chain: acc = 0 + bias[co], then
-/// acc += x_padded * w for every (ci, tap) in order (one fused multiply-add
-/// per step where the TU has FMA). Items are independent, so a batch-1
-/// call gives every element the bits of the batched call, and the chain
-/// does not depend on NR, so the FMA tiles of every width agree bitwise.
+/// acc = fmadd(x_padded, w, acc) for every (ci, tap) in order. Items are
+/// independent, so a batch-1 call gives every element the bits of the
+/// batched call, and the chain does not depend on the tile shape, so the
+/// FMA tiles of every shape agree bitwise.
 ///
-/// The MRC x NV accumulators stay in registers only if every access to them
-/// has a compile-time row index: a row loop bounded by the runtime tail
-/// count would make GCC keep the array on the stack and reload/store it
-/// around the tap loop. So every row loop runs to MRC; the tail rows of a
-/// ragged `cout % MRC` block recompute the last valid row (no memory
+/// A non-null `epilogue` is applied to each finished tile before its store
+/// (see ConvEpilogue): the conv block's BatchNorm and ReLU cost no pass of
+/// their own over the output.
+///
+/// The MRC x NVC accumulators stay in registers only if every access to
+/// them has a compile-time row index: a row loop bounded by the runtime
+/// tail count would make GCC keep the array on the stack and reload/store
+/// it around the tap loop. So every row loop runs to MRC; the tail rows of
+/// a ragged `cout % MRC` block recompute the last valid row (no memory
 /// outside the weights is read) and their results are not stored.
-template <std::size_t MRC, std::size_t NR>
+template <std::size_t MRC, std::size_t NVC>
 void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
                  const float* w, const float* bias, const float* x,
                  std::size_t cin, std::size_t n, std::size_t kernel,
                  std::size_t pad_left, std::size_t pad_right, float* out,
-                 GemmScratch& scratch) {
-  constexpr std::size_t VL = NR / 2;  // as in micro_kernel
-  static_assert(NR % VL == 0);
-  constexpr std::size_t NV = NR / VL;
-  typedef float vf __attribute__((vector_size(VL * sizeof(float))));
+                 GemmScratch& scratch, const ConvEpilogue* epilogue) {
+  constexpr std::size_t NR = NVC * kVL;  // output positions per tile
   const std::size_t wrow_stride = cin * kernel;
 
   // Zero padding is materialized into an L1-sized staging copy of the item
@@ -423,66 +490,39 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
     for (std::size_t co0 = 0; co0 < cout; co0 += MRC) {
       const std::size_t mc = lesser(MRC, cout - co0);
       const float* wrow[MRC];
-      float brow[MRC];
+      float seed[MRC];  // the chain's first value, 0 + bias
       for (std::size_t ir = 0; ir < MRC; ++ir) {
         const std::size_t co = co0 + lesser(ir, mc - 1);
         wrow[ir] = w + co * wrow_stride;
-        brow[ir] = bias != nullptr ? bias[co] : 0.0f;
+        seed[ir] = 0.0f + (bias != nullptr ? bias[co] : 0.0f);
       }
-      for (std::size_t j0 = 0; j0 < out_len; j0 += NR) {
-        const std::size_t nr = lesser(NR, out_len - j0);
-        vf acc[MRC][NV];
-        for (std::size_t ir = 0; ir < MRC; ++ir)
-          for (std::size_t v = 0; v < NV; ++v) acc[ir][v] = vf{} + brow[ir];
-        for (std::size_t ci = 0; ci < cin; ++ci) {
-          // Output position j0+jr, tap t reads xpad[ci, j0 + jr + t].
-          const float* xrow = xpad + ci * np + j0;
-          const std::size_t wci = ci * kernel;
-          for (std::size_t tap = 0; tap < kernel; ++tap) {
-            vf bv[NV];
-            for (std::size_t v = 0; v < NV; ++v)
-              __builtin_memcpy(&bv[v], xrow + tap + v * VL, sizeof(vf));
-            for (std::size_t ir = 0; ir < MRC; ++ir) {
-              const float av = wrow[ir][wci + tap];
-              for (std::size_t v = 0; v < NV; ++v) acc[ir][v] += bv[v] * av;
-            }
-          }
-        }
-        for (std::size_t ir = 0; ir < MRC; ++ir) {
-          if (ir >= mc) break;
-          float* crow = ob + (co0 + ir) * out_len + j0;
-          if (nr == NR) {
-            for (std::size_t v = 0; v < NV; ++v)
-              __builtin_memcpy(crow + v * VL, &acc[ir][v], sizeof(vf));
-          } else {
-            float tail[NR];
-            for (std::size_t v = 0; v < NV; ++v)
-              __builtin_memcpy(tail + v * VL, &acc[ir][v], sizeof(vf));
-            for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] = tail[jr];
-          }
-        }
-      }
+      for (std::size_t j0 = 0; j0 < out_len; j0 += NR)
+        conv_tile<MRC, NVC>(wrow, seed, xpad + j0, np, cin, kernel, epilogue,
+                            co0, mc, ob + co0 * out_len + j0, out_len,
+                            lesser(NR, out_len - j0));
     }
   }
 }
 
 /// Fused batched conv forward: out[b] = W * im2col(x[b]) + bias for every
-/// batch item. Stride-1 convolutions use the pack-free direct kernel;
-/// strided ones run as ONE blocked GEMM (weights packed once per call)
-/// with a virtual column matrix and scattered output placement.
-template <std::size_t MR, std::size_t NR>
+/// batch item. Stride-1 convolutions use the pack-free direct kernel with
+/// an MRC x NVC register block (and the optional epilogue); strided ones
+/// run as ONE blocked MR x NR GEMM (weights packed once per call) with a
+/// virtual column matrix and scattered output placement, and take no
+/// epilogue (sgemm_conv checks).
+template <std::size_t MR, std::size_t NR, std::size_t MRC, std::size_t NVC>
 void sgemm_conv_blocked(std::size_t cout, std::size_t out_len,
                         std::size_t batch, const float* w, const float* bias,
                         const float* x, std::size_t cin, std::size_t n,
                         std::size_t kernel, std::size_t stride,
                         std::size_t pad_left, float* out,
-                        GemmScratch& scratch) {
+                        GemmScratch& scratch, const ConvEpilogue* epilogue) {
   if (stride == 1) {
-    // 4 channel rows regardless of tile: acc pressure is MRC*NV + NV + 1
-    // vector registers. Padding totals are recovered from out_len.
+    // Padding totals are recovered from out_len.
     const std::size_t pad_total = (out_len - 1) + kernel - n;
-    conv_direct<4, NR>(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                       pad_left, pad_total - pad_left, out, scratch);
+    conv_direct<MRC, NVC>(cout, out_len, batch, w, bias, x, cin, n, kernel,
+                          pad_left, pad_total - pad_left, out, scratch,
+                          epilogue);
     return;
   }
   sgemm_blocked_core<MR, NR>(

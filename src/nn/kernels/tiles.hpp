@@ -20,15 +20,30 @@
 namespace scalocate::nn::kernels::detail {
 
 /// A tile's single-threaded kernels, with the contracts of sgemm() and
-/// sgemm_conv().
+/// sgemm_conv(). The conv entry takes an epilogue at stride 1 only.
 using GemmEntry = decltype(&sgemm);
 using ConvEntry = decltype(&sgemm_conv);
+
+/// The direct conv's register block: `rows` output channels by `vectors`
+/// vectors of `lanes` floats (the tile TU's vector width) of output
+/// positions. The batch-1 channel split hands out whole blocks of rows.
+struct ConvBlock {
+  std::size_t rows, vectors, lanes;
+  constexpr std::size_t cols() const { return vectors * lanes; }
+};
+
+// One per tile TU; the TUs instantiate conv_direct with these. Internal
+// linkage (constexpr), so no TU shares a symbol for them.
+constexpr ConvBlock kAvx512ConvBlock{8, 3, 16};
+constexpr ConvBlock kAvx2ConvBlock{4, 2, 8};
+constexpr ConvBlock kPortableConvBlock{4, 2, 4};
 
 struct Tile {
   const char* name;
   bool (*supported)();  ///< may the running CPU execute this tile's code?
   GemmEntry gemm;
   ConvEntry conv;
+  ConvBlock conv_block;
 };
 
 /// Every tile this build compiled, widest first: avx512, avx2, portable on

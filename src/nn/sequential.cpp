@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "nn/activations.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
 
@@ -81,7 +82,28 @@ Tensor forward_depth_first(const Layer& net, const Tensor& input,
 Sequential& Sequential::add(LayerPtr layer) {
   detail::require(layer != nullptr, "Sequential::add: null layer");
   layers_.push_back(std::move(layer));
+  plan_eval_steps();
   return *this;
+}
+
+void Sequential::plan_eval_steps() {
+  plan_.clear();
+  const auto at = [&](std::size_t i) {
+    return i < layers_.size() ? layers_[i].get() : nullptr;
+  };
+  for (std::size_t i = 0; i < layers_.size();) {
+    const auto* conv = dynamic_cast<const Conv1d*>(at(i));
+    const auto* bn = dynamic_cast<const BatchNorm1d*>(at(i + 1));
+    if (conv != nullptr && bn != nullptr && conv->stride_amount() == 1 &&
+        bn->channels() == conv->out_channels()) {
+      const bool relu = dynamic_cast<const ReLU*>(at(i + 2)) != nullptr;
+      plan_.push_back({nullptr, conv, bn, relu});
+      i += relu ? 3 : 2;
+    } else {
+      plan_.push_back({at(i)});
+      ++i;
+    }
+  }
 }
 
 Tensor Sequential::forward(const Tensor& input, Workspace& ws) const {
@@ -96,7 +118,16 @@ Tensor Sequential::forward(const Tensor& input, Workspace& ws) const {
 
 Item Sequential::eval_item(const Item& in, EvalLane& lane) const {
   Item x = in;
-  for (const auto& layer : layers_) x = layer->eval_item(x, lane);
+  for (const EvalStep& step : plan_) {
+    if (step.conv == nullptr) {
+      x = step.layer->eval_item(x, lane);
+      continue;
+    }
+    kernels::ConvEpilogue epilogue =
+        step.bn->eval_affine(lane.push(step.bn->channels()));
+    epilogue.relu = step.relu;
+    x = step.conv->eval_item(x, lane, &epilogue);
+  }
   return x;
 }
 

@@ -11,15 +11,22 @@
 // allocates nothing but the returned tensor. At an intra-op budget above 1
 // and a batch above 1 the items are split across the compute pool once per
 // forward (one workspace lane per chunk, kernels single-threaded inside);
-// at batch 1 the kernels keep their own intra-op split. Either way every
-// element comes from the same kernel call, in the same operand order, as
-// the layer-by-layer composition of the leaves' batched eval forwards, so
-// the output is bit-identical to it at every budget (tests/test_nn_eval.cpp).
+// at batch 1 the kernels keep their own intra-op split.
+//
+// Sequential also fuses the paper's conv block: a stride-1 Conv1d followed
+// by a BatchNorm1d, with or without a ReLU after it, is one eval step, in
+// which the conv kernel applies the BatchNorm and the ReLU to its
+// accumulators before the store (kernels::ConvEpilogue). The plan is made
+// when layers are added. Either way every element comes from the same
+// float operations, in the same order, as the layer-by-layer composition
+// of the leaves' batched eval forwards, so the output is bit-identical to
+// it at every budget (tests/test_nn_eval.cpp).
 #pragma once
 
 #include <memory>
 #include <vector>
 
+#include "nn/batchnorm.hpp"
 #include "nn/conv1d.hpp"
 #include "nn/layer.hpp"
 
@@ -55,7 +62,20 @@ class Sequential : public Layer {
   Layer& layer(std::size_t i) { return *layers_[i]; }
 
  private:
+  /// One step of eval_item: a layer on its own (`layer`), or a fused conv
+  /// block (`conv`, its `bn`, and whether a ReLU follows).
+  struct EvalStep {
+    const Layer* layer = nullptr;
+    const Conv1d* conv = nullptr;
+    const BatchNorm1d* bn = nullptr;
+    bool relu = false;
+  };
+
+  /// Rebuilds plan_ from layers_.
+  void plan_eval_steps();
+
   std::vector<LayerPtr> layers_;
+  std::vector<EvalStep> plan_;
 };
 
 /// Residual block: out = main(x) + shortcut(x).

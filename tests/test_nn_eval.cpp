@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "core/model.hpp"
 #include "nn/activations.hpp"
+#include "nn/batchnorm.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
@@ -74,20 +75,25 @@ Tensor random_input(std::vector<std::size_t> shape, std::uint64_t seed) {
   return t;
 }
 
-/// The paper CNN with every parameter and BatchNorm statistic randomized,
-/// so no layer is an identity (fresh BN is y = x / sqrt(1 + eps)).
-std::unique_ptr<Sequential> random_paper_cnn(const core::CnnConfig& config) {
-  auto net = core::build_paper_cnn(config);
-  Rng rng(29);
-  for (Param* p : net->params())
+/// Randomizes every bias, BatchNorm affine and BatchNorm statistic of
+/// `net`, so no layer is an identity (fresh BN is y = x / sqrt(1 + eps)).
+void randomize_affines_and_stats(Layer& net, std::uint64_t seed) {
+  Rng rng(seed);
+  for (Param* p : net.params())
     if (p->name != "conv.weight" && p->name != "linear.weight")
       for (float& v : p->value.flat())
         v = static_cast<float>(rng.uniform(-1.0, 1.0));
-  const auto buffers = net->buffers();  // running mean, running var, ...
+  const auto buffers = net.buffers();  // running mean, running var, ...
   for (std::size_t i = 0; i < buffers.size(); ++i)
     for (float& v : *buffers[i])
       v = static_cast<float>(i % 2 == 0 ? rng.uniform(-0.3, 0.3)
                                         : rng.uniform(0.5, 2.0));
+}
+
+/// The paper CNN with every parameter and BatchNorm statistic randomized.
+std::unique_ptr<Sequential> random_paper_cnn(const core::CnnConfig& config) {
+  auto net = core::build_paper_cnn(config);
+  randomize_affines_and_stats(*net, 29);
   net->set_training(false);
   return net;
 }
@@ -193,6 +199,57 @@ TEST(DepthFirstEval, OtherLeavesAndResidualEdgesMatchLayerByLayer) {
   // An empty batch still yields the output's shape.
   EXPECT_EQ(net.forward(Tensor({0, 2, 61}), ws).shape(),
             (std::vector<std::size_t>{0, 3}));
+}
+
+TEST(DepthFirstEval, FusedConvBlocksMatchLayerByLayer) {
+  // The conv-block shapes the paper CNN lacks: conv -> BN without a ReLU,
+  // a strided conv -> BN (not fused: the epilogue is stride-1 only), and a
+  // Sequential that ends in conv -> BN. The grain guard sends even these
+  // small convs through the batch-1 channel split, so the epilogue is
+  // sliced per chunk at budget 3.
+  kernels::ParallelGrainGuard grain(1);
+  Sequential net;
+  net.emplace<Conv1d>(2, 8, 5);
+  net.emplace<BatchNorm1d>(8);
+  net.emplace<Conv1d>(8, 8, 3, 2);
+  net.emplace<BatchNorm1d>(8);
+  net.emplace<ReLU>();
+  net.emplace<Conv1d>(8, 16, 7);
+  net.emplace<BatchNorm1d>(16);
+  Rng rng(59);
+  init_module(net, rng);
+  randomize_affines_and_stats(net, 61);
+  net.set_training(false);
+  Workspace ws;
+  for (std::size_t batch : {1u, 5u}) {
+    const Tensor x = random_input({batch, 2, 97}, 67 + batch);
+    Workspace ref_ws;
+    const Tensor ref = layer_by_layer(net, x, ref_ws);
+    for (std::size_t budget : {1u, 3u}) {
+      SCOPED_TRACE("batch " + std::to_string(batch) + ", budget " +
+                   std::to_string(budget));
+      kernels::IntraOpGuard intra(budget);
+      expect_bit_equal(net.forward(x, ws), ref);
+    }
+  }
+}
+
+TEST(DepthFirstEval, FusedConvBlockReadsStatisticsChangedAfterEvalSwitch) {
+  // The fused step reads the BatchNorm's running statistics at call time:
+  // a change after set_training(false) must show in the next forward,
+  // exactly as in the BatchNorm's own forward.
+  auto net = random_paper_cnn(core::CnnConfig::scaled());
+  const Tensor x = random_input({2, 1, 384}, 71);
+  Workspace ws;
+  const Tensor before = net->forward(x, ws);
+  for (std::vector<float>* stats : net->buffers())  // running mean and var
+    for (float& v : *stats) v *= 1.5f;
+  Workspace ref_ws;
+  const Tensor ref = layer_by_layer(*net, x, ref_ws);
+  const Tensor after = net->forward(x, ws);
+  expect_bit_equal(after, ref);
+  EXPECT_NE(std::bit_cast<std::uint32_t>(after.at(0)),
+            std::bit_cast<std::uint32_t>(before.at(0)));
 }
 
 TEST(DepthFirstEval, StrayBackwardAfterEvalForwardThrows) {

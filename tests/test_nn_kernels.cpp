@@ -112,6 +112,15 @@ TEST(TileTable, ListsEveryCompiledTileAndDispatchesTheFirstSupported) {
 #else
   EXPECT_EQ(names, std::vector<std::string>{"portable"});
 #endif
+  // Each tile's direct-conv register block, rows x output positions.
+  for (const Tile& t : table) {
+    SCOPED_TRACE(t.name);
+    const std::string_view name = t.name;
+    const std::size_t rows = name == "avx512" ? 8 : 4;
+    const std::size_t cols = name == "avx512" ? 48 : name == "avx2" ? 16 : 8;
+    EXPECT_EQ(t.conv_block.rows, rows);
+    EXPECT_EQ(t.conv_block.cols(), cols);
+  }
 
   const Tile& dispatched = kernels::detail::dispatched_tile();
   const auto first = std::find_if(table.begin(), table.end(),
@@ -124,7 +133,9 @@ TEST(TileTable, ListsEveryCompiledTileAndDispatchesTheFirstSupported) {
   }
 #endif
   RecordProperty("kernel_tile", dispatched.name);
-  std::cout << "kernel tile: " << dispatched.name << "\n";
+  std::cout << "kernel tile: " << dispatched.name << " (conv "
+            << dispatched.conv_block.rows << "x"
+            << dispatched.conv_block.cols() << ")\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -332,17 +343,19 @@ struct DirectConvCase {
   std::size_t pad_left() const { return (k - 1) / 2; }  // "same" padding
 };
 
-/// Ragged cout (5, 33: not a multiple of the 4-row block), out_len 37 and
-/// 193 (not a multiple of any tile width) and 384 (whole 32-wide strips),
-/// cin in {1, 16, 32}, k in {1, 16, 64} (64 is the paper kernel), batch 1
-/// and 3; stride 1 with "same" padding, so n == out_len.
+/// cout 5 and 33 (ragged for every tile's row block) and the paper's 16
+/// and 32 (whole blocks); out_len 37 and 193 (not a multiple of any tile
+/// width) and the paper windows 288 and 384 (whole 48-wide strips, and
+/// whole 16- and 8-wide ones); cin in {1, 16, 32}, k in {1, 16, 64} (64 is
+/// the paper kernel), batch 1 and 3; stride 1 with "same" padding, so
+/// n == out_len.
 std::vector<DirectConvCase> ragged_direct_cases() {
   std::vector<DirectConvCase> cases;
   for (std::size_t batch : {1u, 3u})
     for (std::size_t cin : {1u, 16u, 32u})
-      for (std::size_t cout : {5u, 33u})
+      for (std::size_t cout : {5u, 16u, 32u, 33u})
         for (std::size_t k : {1u, 16u, 64u})
-          for (std::size_t out_len : {37u, 193u, 384u})
+          for (std::size_t out_len : {37u, 193u, 288u, 384u})
             cases.push_back({batch, cin, cout, k, out_len});
   return cases;
 }
@@ -419,7 +432,7 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
                              std::numeric_limits<float>::quiet_NaN());
       tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
                 d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(), out.data(),
-                scratch);
+                scratch, nullptr);
       expect_bit_equal(out, chain, "FMA direct conv vs scalar chain");
     }
     // The public entry runs the dispatched tile, so it computes the chain
@@ -458,7 +471,7 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
                              std::numeric_limits<float>::quiet_NaN());
       tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
                 d.x.data(), c.cin, n, c.k, 1, c.pad_left(), out.data(),
-                scratch);
+                scratch, nullptr);
       expect_close(out, ref, 1e-4f, "direct conv vs naive");
 
       for (std::size_t b = 0; b < c.batch; ++b) {
@@ -466,7 +479,7 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
                                std::numeric_limits<float>::quiet_NaN());
         tile.conv(c.cout, c.out_len, 1, d.w.data(), d.bias.data(),
                   d.x.data() + b * c.cin * n, c.cin, n, c.k, 1, c.pad_left(),
-                  one.data(), scratch);
+                  one.data(), scratch, nullptr);
         expect_bit_equal(
             one,
             std::span<const float>(out).subspan(b * out_item, out_item),
@@ -474,6 +487,125 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
       }
     }
   }
+}
+
+/// Epilogue constants for one conv output `plain` [batch, cout, out_len]
+/// that reach the edges of the epilogue's arithmetic: gamma of both signs,
+/// beta of +0 and -0 on some channels, and a mean that makes the
+/// normalized value h = (a - mean) * inv_std exactly +0 (mean == a) or -0
+/// (a - mean is one ulp below zero and inv_std, a denormal, scales it
+/// under the smallest float) at a few positions of item 0.
+struct EpilogueConstants {
+  std::vector<float> mean, inv_std, gamma, beta;
+
+  EpilogueConstants(const DirectConvCase& c, const std::vector<float>& plain)
+      : mean(random_vec(c.cout, 607)),
+        inv_std(random_vec(c.cout, 609)),
+        gamma(random_vec(c.cout, 611)),
+        beta(random_vec(c.cout, 613)) {
+    for (std::size_t co = 0; co < c.cout; ++co) {
+      inv_std[co] = 0.5f + std::fabs(inv_std[co]);
+      const float a = plain[co * c.out_len + (co * 7) % c.out_len];
+      switch (co % 4) {
+        case 0:  // h = +0 at one position; gamma < 0 makes gamma * h = -0
+          mean[co] = a;
+          gamma[co] = -std::fabs(gamma[co]);
+          beta[co] = 0.0f;
+          break;
+        case 1:  // h = -0 there; beta = -0 keeps y = -0 for relu to clear
+          mean[co] = std::nextafter(a, std::numeric_limits<float>::max());
+          inv_std[co] = 1e-41f;
+          gamma[co] = std::fabs(gamma[co]);
+          beta[co] = -0.0f;
+          break;
+        case 2:  // zero beta, negative gamma, ordinary values
+          gamma[co] = -std::fabs(gamma[co]);
+          beta[co] = 0.0f;
+          break;
+        default:
+          break;
+      }
+    }
+  }
+
+  kernels::ConvEpilogue epilogue(bool relu) const {
+    return {mean.data(), inv_std.data(), gamma.data(), beta.data(), relu};
+  }
+
+  /// The layer-by-layer reference: normalize_scale_shift, then relu, on
+  /// every row of `plain`.
+  std::vector<float> apply(const DirectConvCase& c,
+                           const std::vector<float>& plain, bool relu) const {
+    std::vector<float> out = plain;
+    for (std::size_t b = 0; b < c.batch; ++b)
+      for (std::size_t co = 0; co < c.cout; ++co) {
+        float* row = out.data() + (b * c.cout + co) * c.out_len;
+        kernels::normalize_scale_shift(c.out_len, row, mean[co], inv_std[co],
+                                       gamma[co], beta[co], nullptr, row);
+        if (relu) kernels::relu(c.out_len, row, row);
+      }
+    return out;
+  }
+};
+
+TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
+  // Bitwise: the fused BatchNorm/ReLU must round exactly as the separate
+  // passes do, or the fused eval forward would move the scores.
+  std::vector<Tile> tiles;
+  for (const Tile& t : kernels::detail::tiles()) {
+    if (t.supported())
+      tiles.push_back(t);
+    else
+      std::cout << "tile " << t.name
+                << " skipped: the host CPU does not support it\n";
+  }
+  kernels::GemmScratch scratch;
+  std::size_t signed_zeros = 0;  // -0 values the reference produced
+  for (const DirectConvCase& c : ragged_direct_cases()) {
+    SCOPED_TRACE(describe(c));
+    const DirectConvData d(c);
+    const std::size_t total = c.batch * c.cout * c.out_len;
+    for (const Tile& tile : tiles) {
+      SCOPED_TRACE(tile.name);
+      std::vector<float> plain(total, std::numeric_limits<float>::quiet_NaN());
+      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
+                d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
+                plain.data(), scratch, nullptr);
+      const EpilogueConstants e(c, plain);
+      for (bool relu : {false, true}) {
+        SCOPED_TRACE(relu ? "relu" : "no relu");
+        const std::vector<float> expected = e.apply(c, plain, relu);
+        for (float v : expected) signed_zeros += v == 0.0f && std::signbit(v);
+        const kernels::ConvEpilogue epi = e.epilogue(relu);
+        std::vector<float> fused(total,
+                                 std::numeric_limits<float>::quiet_NaN());
+        tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
+                  d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
+                  fused.data(), scratch, &epi);
+        expect_bit_equal(fused, expected, "conv + epilogue vs separate passes");
+        if (is_dispatched(tile)) {
+          std::vector<float> pub(total,
+                                 std::numeric_limits<float>::quiet_NaN());
+          kernels::sgemm_conv(c.cout, c.out_len, c.batch, d.w.data(),
+                              d.bias.data(), d.x.data(), c.cin, c.out_len,
+                              c.k, 1, c.pad_left(), pub.data(), scratch, &epi);
+          expect_bit_equal(pub, expected, "sgemm_conv + epilogue");
+        }
+      }
+    }
+  }
+  EXPECT_GT(signed_zeros, 0u) << "no case reached y = -0 before the ReLU";
+}
+
+TEST(DirectConv, EpilogueNeedsStrideOne) {
+  const std::vector<float> w(2 * 3 * 4, 0.5f), x(3 * 20, 1.0f), one(2, 1.0f);
+  std::vector<float> out(2 * 9);
+  const kernels::ConvEpilogue epi{one.data(), one.data(), one.data(),
+                                  one.data(), true};
+  kernels::GemmScratch scratch;
+  EXPECT_THROW(kernels::sgemm_conv(2, 9, 1, w.data(), nullptr, x.data(), 3, 20,
+                                   4, 2, 0, out.data(), scratch, &epi),
+               InvalidArgument);
 }
 
 TEST(LinearParity, ForwardAndBackwardMatchReference) {
@@ -595,33 +727,49 @@ TEST(GemmThreaded, ConvBitIdenticalAcrossThreadCounts) {
     std::size_t batch, cin, cout, k, stride, pad, n;
   };
   // batch > 1 exercises the batch partition (including a ragged 5-way
-  // split), batch == 1 the out-channel partition; stride 2 covers the
-  // strided packing path.
+  // split), batch == 1 the out-channel partition in whole register blocks
+  // (cout 16 is two blocks of the 8-row tile, four of the 4-row ones);
+  // stride 2 covers the strided packing path. Stride-1 shapes also run
+  // with an epilogue, which every channel chunk must slice with its rows.
   for (const auto& p :
        {Shape{5, 3, 8, 7, 1, 3, 40}, Shape{1, 4, 32, 5, 1, 2, 33},
-        Shape{3, 2, 12, 6, 2, 2, 37}, Shape{8, 1, 16, 64, 1, 31, 192}}) {
+        Shape{3, 2, 12, 6, 2, 2, 37}, Shape{8, 1, 16, 64, 1, 31, 192},
+        Shape{1, 16, 16, 64, 1, 31, 384}}) {
     const std::size_t out_len =
         kernels::conv_output_length(p.n, p.k, p.stride, p.pad, p.pad);
     const auto w = random_vec(p.cout * p.cin * p.k, 501);
     const auto bias = random_vec(p.cout, 503);
     const auto x = random_vec(p.batch * p.cin * p.n, 505);
-    std::vector<float> out_ref(p.batch * p.cout * out_len);
-    {
-      kernels::IntraOpGuard intra(1);
-      kernels::GemmScratch scratch;
-      kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
-                          x.data(), p.cin, p.n, p.k, p.stride, p.pad,
-                          out_ref.data(), scratch);
-    }
-    for (std::size_t threads : {2u, 3u, 8u}) {
-      kernels::IntraOpGuard intra(threads);
-      kernels::GemmScratch scratch;
-      std::vector<float> out(p.batch * p.cout * out_len,
-                             std::numeric_limits<float>::quiet_NaN());
-      kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
-                          x.data(), p.cin, p.n, p.k, p.stride, p.pad,
-                          out.data(), scratch);
-      expect_bit_equal(out, out_ref, "threaded conv");
+    const auto mean = random_vec(p.cout, 507);
+    const auto gamma = random_vec(p.cout, 509);
+    const auto beta = random_vec(p.cout, 511);
+    std::vector<float> inv_std = random_vec(p.cout, 513);
+    for (float& v : inv_std) v = 0.5f + std::fabs(v);
+    const kernels::ConvEpilogue bn_relu{mean.data(), inv_std.data(),
+                                        gamma.data(), beta.data(), true};
+    for (const kernels::ConvEpilogue* epi :
+         {static_cast<const kernels::ConvEpilogue*>(nullptr), &bn_relu}) {
+      if (epi != nullptr && p.stride != 1) continue;
+      SCOPED_TRACE(epi != nullptr ? "with epilogue" : "plain");
+      std::vector<float> out_ref(p.batch * p.cout * out_len);
+      {
+        kernels::IntraOpGuard intra(1);
+        kernels::GemmScratch scratch;
+        kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
+                            x.data(), p.cin, p.n, p.k, p.stride, p.pad,
+                            out_ref.data(), scratch, epi);
+      }
+      for (std::size_t threads : {2u, 3u, 4u, 8u}) {
+        SCOPED_TRACE("budget " + std::to_string(threads));
+        kernels::IntraOpGuard intra(threads);
+        kernels::GemmScratch scratch;
+        std::vector<float> out(p.batch * p.cout * out_len,
+                               std::numeric_limits<float>::quiet_NaN());
+        kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
+                            x.data(), p.cin, p.n, p.k, p.stride, p.pad,
+                            out.data(), scratch, epi);
+        expect_bit_equal(out, out_ref, "threaded conv");
+      }
     }
   }
 }

@@ -55,18 +55,8 @@ struct Timer {
   }
 };
 
-/// Linear-interpolated percentile of a sample set; q clamped into [0, 1]
-/// (q=0 min, q=1 max; single-sample input returns that sample for any q).
-/// Thin forwarder to the system-wide implementation in obs/histogram.hpp —
-/// the same rank convention obs::Histogram::Snapshot::quantile answers
-/// bucketed queries with, so bench numbers and telemetry snapshots agree.
-inline double percentile(std::vector<double> values, double q) {
-  return obs::percentile(std::move(values), q);
-}
-
-/// Latency/throughput summary of one benchmark run (latencies in seconds
-/// in, milliseconds out). Shared by bench_service and available to every
-/// bench that measures per-item times.
+/// Latency/throughput summary of one benchmark run (milliseconds out).
+/// Shared by bench_service and bench_overload.
 struct LatencySummary {
   std::size_t count = 0;
   double p50_ms = 0.0;
@@ -76,21 +66,18 @@ struct LatencySummary {
   double throughput_per_s = 0.0;  ///< items per wall-clock second
 };
 
-inline LatencySummary summarize_latencies(
-    const std::vector<double>& latencies_seconds, double wall_seconds) {
+/// Summarizes a job-latency histogram in nanoseconds (a Session's
+/// `latency_ns` snapshot): count, mean and max are exact, p50 and p99
+/// within the histogram's bucket resolution (~3.1%).
+inline LatencySummary summarize_latencies(const obs::Histogram::Snapshot& ns,
+                                          double wall_seconds) {
   LatencySummary s;
-  s.count = latencies_seconds.size();
+  s.count = ns.count;
   if (s.count == 0) return s;
-  double acc = 0.0;
-  double mx = 0.0;
-  for (double v : latencies_seconds) {
-    acc += v;
-    mx = std::max(mx, v);
-  }
-  s.mean_ms = 1e3 * acc / static_cast<double>(s.count);
-  s.max_ms = 1e3 * mx;
-  s.p50_ms = 1e3 * percentile(latencies_seconds, 0.50);
-  s.p99_ms = 1e3 * percentile(latencies_seconds, 0.99);
+  s.mean_ms = ns.mean() / 1e6;
+  s.max_ms = static_cast<double>(ns.max) / 1e6;
+  s.p50_ms = ns.quantile(0.50) / 1e6;
+  s.p99_ms = ns.quantile(0.99) / 1e6;
   s.throughput_per_s =
       wall_seconds > 0.0 ? static_cast<double>(s.count) / wall_seconds : 0.0;
   return s;

@@ -88,18 +88,18 @@ int main() {
     api::Engine engine({.workers = 2});
     engine.attach_model(setup.locator);
     auto session = engine.open_session();
-    std::vector<double> latencies;
-    latencies.reserve(baseline_jobs);
     bench::Timer wall;
     for (std::size_t j = 0; j < baseline_jobs; ++j) {
-      auto r = session.submit_timed(traces[j % n_traces].samples).get();
-      latencies.push_back(r.latency_seconds);
-      if (r.starts != reference[j % n_traces]) {
+      if (session.submit_view(traces[j % n_traces].samples).get() !=
+          reference[j % n_traces]) {
         std::fprintf(stderr, "baseline job %zu mismatched the reference\n", j);
         return 1;
       }
     }
-    const auto s = bench::summarize_latencies(latencies, wall.seconds());
+    const double elapsed = wall.seconds();
+    session.drain();
+    const auto s = bench::summarize_latencies(
+        session.metrics().latency_ns->snapshot(), elapsed);
     baseline_p99_s = s.p99_ms / 1e3;
     std::printf("\nbaseline (unloaded): p50 %.1f ms  p99 %.1f ms over %zu jobs\n",
                 s.p50_ms, s.p99_ms, baseline_jobs);
@@ -144,7 +144,7 @@ int main() {
         std::chrono::duration<double>(std::max(baseline_p99_s, 1e-3)));
 
     struct Pending {
-      std::future<api::Session::TimedResult> future;
+      std::future<std::vector<std::size_t>> future;
       std::size_t trace;
     };
     std::vector<Pending> pending;
@@ -157,19 +157,17 @@ int main() {
         options.deadline = now + slot * (8 + j);
       try {
         pending.push_back(
-            {session.submit_timed(traces[j % n_traces].samples, options),
+            {session.submit_view(traces[j % n_traces].samples, options),
              j % n_traces});
       } catch (const api::Overloaded&) {
         ++rejected_sync;
       }
     }
-    std::vector<double> accepted_latencies;
-    std::size_t shed = 0, deadline_exceeded = 0, mismatches = 0;
+    std::size_t accepted = 0, shed = 0, deadline_exceeded = 0, mismatches = 0;
     for (auto& p : pending) {
       try {
-        auto r = p.future.get();
-        accepted_latencies.push_back(r.latency_seconds);
-        if (r.starts != reference[p.trace]) ++mismatches;
+        if (p.future.get() != reference[p.trace]) ++mismatches;
+        ++accepted;
       } catch (const api::Overloaded&) {
         ++shed;
       } catch (const api::DeadlineExceeded&) {
@@ -178,16 +176,18 @@ int main() {
     }
     const double elapsed = wall.seconds();
     // Resolved futures prove the results; drain() waits for the worker-side
-    // accounting so the embedded metrics snapshot reconciles exactly.
+    // accounting so the embedded metrics snapshot reconciles exactly. The
+    // latency histogram holds the jobs that ran: the accepted ones.
     session.drain();
-    const auto s = bench::summarize_latencies(accepted_latencies, elapsed);
+    const auto s = bench::summarize_latencies(
+        session.metrics().latency_ns->snapshot(), elapsed);
     const double ratio =
         baseline_p99_s > 0.0 ? (s.p99_ms / 1e3) / baseline_p99_s : 0.0;
     p99_ratio_max = std::max(p99_ratio_max, ratio);
     dropped_total += rejected_sync + shed + deadline_exceeded;
 
     std::printf("%-18s %8zu %9zu %9zu %6zu %9zu %10.1f %9.2fx", policy_name(policy),
-                offered, accepted_latencies.size(), rejected_sync, shed,
+                offered, accepted, rejected_sync, shed,
                 deadline_exceeded, s.p99_ms, ratio);
     if (mismatches > 0) std::printf("  [%zu MISMATCHED]", mismatches);
     std::printf("\n");
@@ -195,7 +195,7 @@ int main() {
     json.begin_object();
     json.kv("policy", policy_name(policy));
     json.kv("offered", offered);
-    json.kv("accepted", accepted_latencies.size());
+    json.kv("accepted", accepted);
     json.kv("rejected_sync", rejected_sync);
     json.kv("shed", shed);
     json.kv("deadline_exceeded", deadline_exceeded);

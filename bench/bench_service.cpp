@@ -10,10 +10,9 @@
 //
 // Every worker row runs its Engine against a fresh obs::Registry, and the
 // whole run is emitted as BENCH_service.json (see bench_common.hpp for the
-// layout contract): the row's latency summary comes from the per-job
-// submit_timed values, the embedded "metrics" object is the engine's own
-// telemetry snapshot — the two must tell the same story, which is how the
-// telemetry subsystem earns its numbers.
+// layout contract): the row's latency summary is read from the session's
+// `latency_ns` histogram (enqueue to end of each job), next to the embedded
+// "metrics" object, the engine's whole telemetry snapshot.
 //
 // SCALOCATE_SCALE scales the workload (0.25 = CI smoke run).
 #include <cstdio>
@@ -74,25 +73,24 @@ int main() {
     api::Engine engine({.workers = workers, .registry = &registry});
     engine.attach_model(setup.locator);
     auto session = engine.open_session();
-    std::vector<std::future<api::Session::TimedResult>> futures;
+    std::vector<std::future<std::vector<std::size_t>>> futures;
     futures.reserve(n_jobs);
 
     bench::Timer wall;
     for (std::size_t j = 0; j < n_jobs; ++j)
       futures.push_back(
-          session.submit_timed(traces[j % traces.size()].samples));
+          session.submit_view(traces[j % traces.size()].samples));
 
-    std::vector<double> latencies;
-    latencies.reserve(n_jobs);
     std::size_t mismatches = 0;
-    for (std::size_t j = 0; j < n_jobs; ++j) {
-      auto result = futures[j].get();
-      latencies.push_back(result.latency_seconds);
-      if (result.starts != reference[j % traces.size()]) ++mismatches;
-    }
+    for (std::size_t j = 0; j < n_jobs; ++j)
+      if (futures[j].get() != reference[j % traces.size()]) ++mismatches;
     const double elapsed = wall.seconds();
+    // drain() waits for the worker-side accounting, so the latency
+    // histogram holds every job.
+    session.drain();
 
-    const auto s = bench::summarize_latencies(latencies, elapsed);
+    const auto s = bench::summarize_latencies(
+        session.metrics().latency_ns->snapshot(), elapsed);
     if (baseline_tput == 0.0) baseline_tput = s.throughput_per_s;
     std::printf("%-8zu %12.2f %10.1f %10.1f %10.1f %8.2fx", workers,
                 s.throughput_per_s, s.p50_ms, s.p99_ms, s.mean_ms,

@@ -4,24 +4,30 @@
 // locators) into a cipher-keyed registry and runs every model over ONE
 // shared ThreadPool — a single deployment can serve AES-128, Clefia and
 // Camellia models side by side, with per-request model selection by cipher.
-// Sessions unify the two workloads that used to be two unrelated classes:
+// A Session serves both workloads of one model:
 //
-//   session.submit(trace)      whole-trace jobs with bounded-queue
-//                              backpressure and cancellation
-//                              (was CoLocator::locate / LocatorService)
+//   session.submit(trace)      whole-trace jobs with admission control,
+//                              deadlines and cancellation
 //   session.open_stream()      push-based chunk ingestion with online
 //                              Detection delivery via callback or poll
-//                              (was StreamingLocator)
 //
-// Lifetime: Sessions, Streams and Jobs hold shared ownership of their model
-// entry, so they stay valid even if the Engine replaces the model — but the
-// Engine itself (its pool) must outlive every Session/Job. All Session
-// methods are safe to call from multiple threads against one Engine;
-// a single Stream is single-threaded like the StreamingLocator it wraps.
+// Each registered model owns the executor of its whole-trace jobs: a local
+// queue in front of the shared pool, where admission, deadlines,
+// cancellation and the stuck-job watchdog act (README "Failure model").
+//
+// Lifetime: Sessions and Streams hold shared ownership of their model
+// entry, so they stay valid even if the Engine replaces the model. The
+// Engine (its pool) must outlive every job submitted through a Session; a
+// Stream uses neither, and may outlive the Engine. All Session methods are
+// safe to call from multiple threads against one Engine; a single Stream
+// is single-threaded like the StreamingLocator it wraps.
 #pragma once
 
+#include <atomic>
+#include <chrono>
 #include <deque>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -31,32 +37,58 @@
 
 #include "core/locator.hpp"
 #include "obs/registry.hpp"
-#include "runtime/locator_service.hpp"
 #include "runtime/streaming_locator.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace scalocate::api {
 
-using runtime::AdmissionPolicy;
 using runtime::Detection;
 using runtime::StreamingConfig;
-using runtime::SubmitOptions;
+
+/// What submit does when a model is at max_queue_depth.
+enum class AdmissionPolicy {
+  /// Block the submitter until a slot frees (backpressure; the default). A
+  /// blocked submit with a deadline gives up when the deadline passes
+  /// (future throws DeadlineExceeded).
+  kBlock,
+  /// Fail fast: submit throws Overloaded synchronously. Nothing queues.
+  kRejectWhenFull,
+  /// Make room: evict the queued job least likely to meet its deadline
+  /// (earliest deadline first; jobs without deadlines are evicted last).
+  /// The victim's future throws Overloaded. When the incoming job itself
+  /// has the tightest deadline — or nothing is queued to evict — the
+  /// incoming job is the one shed (synchronous Overloaded throw).
+  kShedByDeadline,
+};
+
+/// Per-job failure-model knobs.
+struct SubmitOptions {
+  /// Absolute deadline. A job that has not COMPLETED by this point fails
+  /// with DeadlineExceeded: immediately at submit when already past,
+  /// cheaply at dispatch when it expires in the queue, or via the blocked
+  /// submitter waking up (kBlock). A job already running is never aborted
+  /// mid-flight (results stay bit-identical); its caller simply sees the
+  /// result late.
+  std::optional<std::chrono::steady_clock::time_point> deadline{};
+  /// Relative form of the same thing: resolved to now() + timeout at
+  /// submit. When both are set the earlier one wins.
+  std::optional<std::chrono::nanoseconds> timeout{};
+  /// Flag the caller sets to abandon the job. It is checked when the job is
+  /// dispatched and again when it starts: a job cancelled before it starts
+  /// never runs and its future throws scalocate::Cancelled. A job already
+  /// running completes normally (cancelling is then a no-op).
+  std::shared_ptr<std::atomic<bool>> cancel{};
+};
 
 struct EngineConfig {
   /// Worker threads of the shared pool. 0 = hardware concurrency.
   std::size_t workers = 0;
-  /// Per-model bound on in-flight whole-trace jobs. What happens at the
-  /// bound is `admission`'s call (default: submit blocks — backpressure).
-  /// 0 = unbounded.
+  /// Per-model bound on in-flight whole-trace jobs (queued + running).
+  /// What happens at the bound is `admission`'s call. 0 = unbounded.
   std::size_t max_queue_depth = 0;
-  /// Behavior at max_queue_depth, applied per model: kBlock (default,
-  /// today's behavior), kRejectWhenFull (submit throws Overloaded), or
-  /// kShedByDeadline (evict the queued job least likely to meet its
-  /// deadline). See runtime::AdmissionPolicy and README "Failure model".
+  /// Behavior at max_queue_depth, applied per model (see AdmissionPolicy
+  /// and README "Failure model").
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Per-model cap on jobs RUNNING in the shared pool at once. 0 = the
-  /// pool's worker count. Set below `workers` so one hot cipher cannot
-  /// starve every other registered model of workers.
-  std::size_t max_concurrency = 0;
   /// Watchdog: flag (never kill) a running job once its wall clock exceeds
   /// this multiple of its model's rolling p99 runtime — the
   /// `watchdog_trips` counter distinguishes "stuck" from "slow". 0 = off.
@@ -71,21 +103,36 @@ struct EngineConfig {
   /// traces, each saturating the machine. Detections are bit-identical
   /// at every setting, so the trade is purely throughput vs latency.
   std::size_t intra_op_threads = 1;
-  /// Telemetry sink (must outlive the Engine). When set, every registered
-  /// model gets per-model instruments — `engine.<model>.requests`,
-  /// `.queue_depth`, `.queue_wait_ns`, `.latency_ns`, `.cancelled`,
-  /// `.backpressure_blocks` — and every stream opened through a Session
-  /// gets `stream.<model>.samples_fed` / `.windows_scored` / `.detections`
-  /// / `.corrupt_samples` / `.emission_lag_samples`; the shared pool
-  /// reports `pool.queue_depth` and `pool.tasks`. Null = telemetry off
-  /// (zero overhead and no behavior change either way). Pass
+  /// Telemetry sink. Every registered model publishes `engine.<model>.*`
+  /// job instruments and `stream.<model>.*` stream instruments into it,
+  /// and the shared pool `pool.queue_depth` and `pool.tasks` (README
+  /// "Observability"). Null = the Engine keeps a private registry, which
+  /// lives as long as the Engine or any Stream opened through it. A
+  /// registry passed here must outlive both. Pass
   /// &obs::Registry::global() to publish into the process-wide registry.
   obs::Registry* registry = nullptr;
 };
 
 /// Instrument-name segment for a model: the cipher display name lowercased
-/// with non-alphanumerics dropped ("AES-128" -> "aes128").
+/// with non-alphanumerics dropped ("AES" -> "aes", "Camellia" ->
+/// "camellia").
 std::string metric_model_name(crypto::CipherId cipher);
+
+/// One model's job instruments, `engine.<model>.*` (README
+/// "Observability"). Every pointer is set.
+struct EngineMetrics {
+  obs::Counter* requests = nullptr;   ///< every submit call
+  obs::Counter* completed = nullptr;  ///< accepted jobs settled (any outcome)
+  obs::Counter* cancelled = nullptr;  ///< jobs cancelled before running
+  obs::Counter* backpressure_blocks = nullptr;  ///< submits that had to wait
+  obs::Counter* rejected = nullptr;  ///< submits refused at admission
+  obs::Counter* shed = nullptr;      ///< queued jobs evicted to make room
+  obs::Counter* deadline_exceeded = nullptr;  ///< jobs failed by deadline
+  obs::Counter* watchdog_trips = nullptr;     ///< running jobs flagged stuck
+  obs::Gauge* queue_depth = nullptr;  ///< in-flight jobs (queued + running)
+  obs::Histogram* queue_wait_ns = nullptr;  ///< enqueue -> job start
+  obs::Histogram* latency_ns = nullptr;     ///< enqueue -> job end (e2e)
+};
 
 /// Registry row describing one served model.
 struct ModelInfo {
@@ -97,51 +144,9 @@ struct ModelInfo {
 };
 
 namespace detail {
-/// One registered model: the locator (owned or borrowed) plus its executor
-/// over the engine's shared pool. Sessions share ownership of the entry.
-/// `registry`/`stream_prefix` carry the engine's telemetry wiring to
-/// streams opened later through a Session.
-struct ModelEntry {
-  ModelEntry(core::CoLocator&& loc, runtime::ThreadPool& pool,
-             runtime::ServiceConfig cfg)
-      : owned(std::move(loc)),
-        locator(&*owned),
-        registry(cfg.registry),
-        service(*locator, pool, std::move(cfg)) {}
-  ModelEntry(const core::CoLocator& loc, runtime::ThreadPool& pool,
-             runtime::ServiceConfig cfg)
-      : locator(&loc), registry(cfg.registry), service(loc, pool, std::move(cfg)) {}
-
-  std::optional<core::CoLocator> owned;
-  const core::CoLocator* locator;
-  obs::Registry* registry = nullptr;  ///< null = telemetry off
-  std::string stream_prefix;          ///< e.g. "stream.aes128"
-  runtime::LocatorService service;
-};
+/// One registered model and the executor of its jobs (engine.cpp).
+class ModelEntry;
 }  // namespace detail
-
-/// A cancellable whole-trace job. Move-only handle over the job's future
-/// and cancel flag.
-class Job {
- public:
-  /// Requests cancellation. A job not yet started never runs and get()
-  /// throws scalocate::Cancelled; a job already running completes normally.
-  void cancel() { flag_->store(true); }
-  bool cancel_requested() const { return flag_->load(); }
-
-  /// Blocks for the result (rethrows the job's exception, if any).
-  std::vector<std::size_t> get() { return future_.get(); }
-  std::future<std::vector<std::size_t>>& future() { return future_; }
-
- private:
-  friend class Session;
-  Job(runtime::LocatorService::CancelFlag flag,
-      std::future<std::vector<std::size_t>> future)
-      : flag_(std::move(flag)), future_(std::move(future)) {}
-
-  runtime::LocatorService::CancelFlag flag_;
-  std::future<std::vector<std::size_t>> future_;
-};
 
 /// Push-based chunk ingestion bound to one session's model: a
 /// runtime::StreamingLocator that scores its windows inline, on the thread
@@ -192,45 +197,34 @@ class Stream {
 class Session {
  public:
   /// Whole-trace job; the trace is moved in. At max_queue_depth the
-  /// engine's AdmissionPolicy decides (default: block — backpressure).
-  /// `options` carries the per-job failure-model knobs: a deadline or
-  /// timeout after which the job fails with DeadlineExceeded instead of
-  /// occupying a worker (see runtime::SubmitOptions).
+  /// engine's AdmissionPolicy decides: block (default), throw Overloaded
+  /// (kRejectWhenFull), or shed (kShedByDeadline; may also throw Overloaded
+  /// when the incoming job is the victim). Deadline, shed and cancellation
+  /// failures of an ACCEPTED job surface through the future.
   std::future<std::vector<std::size_t>> submit(std::vector<float> trace,
                                                SubmitOptions options = {});
 
   /// Whole-trace job over caller-owned samples (kept alive by the caller
-  /// until the future resolves).
+  /// until the future resolves; no copy is made).
   std::future<std::vector<std::size_t>> submit_view(
       std::span<const float> trace, SubmitOptions options = {});
-
-  /// Whole-trace job with a cancellation handle.
-  Job submit_job(std::vector<float> trace, SubmitOptions options = {});
-
-  using TimedResult = runtime::LocatorService::TimedResult;
-  std::future<TimedResult> submit_timed(std::span<const float> trace,
-                                        SubmitOptions options = {});
 
   /// Opens a push-based stream over this session's model.
   Stream open_stream(StreamingConfig config = {}) const;
 
-  const core::CoLocator& locator() const { return *entry_->locator; }
-  crypto::CipherId cipher() const {
-    return entry_->locator->config().params.cipher;
-  }
+  const core::CoLocator& locator() const;
+  crypto::CipherId cipher() const;
 
-  /// This model's serving instruments (all-null when the engine was built
-  /// without a telemetry registry).
-  const runtime::ServiceMetrics& metrics() const {
-    return entry_->service.metrics();
-  }
+  /// This model's job instruments. Job latency is `latency_ns` (enqueue to
+  /// end, queueing included).
+  const EngineMetrics& metrics() const;
 
   /// Blocks until every job submitted to this session's model so far has
   /// fully settled. A resolved future only proves the job's RESULT is
-  /// ready; the service's accounting (completed count, queue_depth back to
-  /// zero) lands moments later on the worker thread — call this before
-  /// reading metrics() or a registry snapshot that must reconcile exactly.
-  void drain() { entry_->service.drain(); }
+  /// ready; the accounting (completed count, queue_depth back to zero)
+  /// lands moments later on the worker thread — call this before reading
+  /// metrics() or a registry snapshot that must reconcile exactly.
+  void drain();
 
  private:
   friend class Engine;
@@ -243,7 +237,7 @@ class Session {
 class Engine {
  public:
   explicit Engine(EngineConfig config = {});
-  ~Engine();  ///< Drains every model's in-flight jobs.
+  ~Engine();  ///< Drains every registered model's in-flight jobs.
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -273,22 +267,22 @@ class Engine {
   std::vector<ModelInfo> models() const;
   std::size_t worker_count() const { return pool_.worker_count(); }
 
-  /// The telemetry registry this engine publishes into (null = off).
-  obs::Registry* metrics_registry() const { return config_.registry; }
-  /// Convenience snapshots of that registry; empty-document/placeholder
-  /// output when telemetry is off.
+  /// Snapshots of the engine's telemetry registry.
   std::string telemetry_text() const;
   std::string telemetry_json() const;
 
  private:
-  crypto::CipherId register_entry(std::shared_ptr<detail::ModelEntry> entry);
-  runtime::ServiceConfig service_config(crypto::CipherId cipher) const;
+  crypto::CipherId register_model(
+      std::shared_ptr<const core::CoLocator> locator);
 
   EngineConfig config_;
-  runtime::ThreadPool pool_;  ///< declared before the registry: entries
-                              ///< (services) drain against it on teardown
+  /// The telemetry sink, shared with every entry (owning when private).
+  /// Declared before the pool, whose instruments it holds.
+  std::shared_ptr<obs::Registry> registry_;
+  runtime::ThreadPool pool_;  ///< declared before the entries: they drain
+                              ///< against it on teardown
   mutable std::mutex mutex_;
-  std::map<crypto::CipherId, std::shared_ptr<detail::ModelEntry>> registry_;
+  std::map<crypto::CipherId, std::shared_ptr<detail::ModelEntry>> models_;
 };
 
 }  // namespace scalocate::api

@@ -10,7 +10,7 @@
 //   auto starts  = session.submit(std::move(trace)).get();
 //
 // The facade is the library's compatibility boundary: Engine/Session/
-// Stream/Job, the versioned artifact format, and the structured error types
+// Stream, the versioned artifact format, and the structured error types
 // are kept stable; everything under core/, nn/, runtime/ may be refactored
 // freely underneath it. Training still happens through core::CoLocator
 // (clone-device profiling is inherently offline); export_artifact() is the

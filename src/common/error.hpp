@@ -63,7 +63,7 @@ inline bool is_transient(const std::exception& e) {
 // scalocate-lint: end-terminal-errors
 
 /// A submitted job was cancelled before it ran; surfaces through the job's
-/// future (runtime/locator_service, api::Job). Never transient: the caller
+/// future (api::SubmitOptions::cancel). Never transient: the caller
 /// asked for the abandonment, retrying would resurrect it.
 class Cancelled : public Error {
  public:

@@ -68,33 +68,6 @@ std::vector<float> standardize(std::span<const float> xs) {
   return out;
 }
 
-std::vector<float> min_max_normalize(std::span<const float> xs) {
-  std::vector<float> out(xs.size());
-  if (xs.empty()) return out;
-  const float lo = stats::min_value(xs);
-  const float hi = stats::max_value(xs);
-  if (hi <= lo) return out;
-  const float span = hi - lo;
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = (xs[i] - lo) / span;
-  return out;
-}
-
-std::vector<float> cross_correlate(std::span<const float> signal,
-                                   std::span<const float> kernel) {
-  detail::require(!kernel.empty(), "signal::cross_correlate: empty kernel");
-  detail::require(signal.size() >= kernel.size(),
-                  "signal::cross_correlate: kernel longer than signal");
-  const std::size_t out_len = signal.size() - kernel.size() + 1;
-  std::vector<float> out(out_len);
-  for (std::size_t t = 0; t < out_len; ++t) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < kernel.size(); ++j)
-      acc += static_cast<double>(signal[t + j]) * static_cast<double>(kernel[j]);
-    out[t] = static_cast<float>(acc);
-  }
-  return out;
-}
-
 std::vector<float> normalized_cross_correlate(std::span<const float> signal,
                                               std::span<const float> kernel) {
   detail::require(kernel.size() >= 2,
@@ -171,20 +144,6 @@ std::vector<std::size_t> find_peaks(std::span<const float> xs, float min_height,
 std::vector<float> absolute(std::span<const float> xs) {
   std::vector<float> out(xs.size());
   for (std::size_t i = 0; i < xs.size(); ++i) out[i] = std::fabs(xs[i]);
-  return out;
-}
-
-std::vector<float> decimate(std::span<const float> xs, std::size_t factor) {
-  detail::require(factor >= 1, "signal::decimate: factor must be >= 1");
-  if (factor == 1) return {xs.begin(), xs.end()};
-  std::vector<float> out;
-  out.reserve(xs.size() / factor + 1);
-  for (std::size_t i = 0; i + factor <= xs.size(); i += factor) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < factor; ++j)
-      acc += static_cast<double>(xs[i + j]);
-    out.push_back(static_cast<float>(acc / static_cast<double>(factor)));
-  }
   return out;
 }
 

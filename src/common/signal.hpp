@@ -35,15 +35,6 @@ std::vector<float> moving_average(std::span<const float> xs, std::size_t k);
 /// signal is returned as all zeros.
 std::vector<float> standardize(std::span<const float> xs);
 
-/// Rescales into [0,1]; a constant signal maps to all zeros.
-std::vector<float> min_max_normalize(std::span<const float> xs);
-
-/// Raw (unnormalized) cross-correlation of `signal` with `kernel`:
-/// out[t] = sum_j signal[t+j] * kernel[j], for t in [0, len(signal)-len(kernel)].
-/// This is the matched-filter inner product used by baseline [10].
-std::vector<float> cross_correlate(std::span<const float> signal,
-                                   std::span<const float> kernel);
-
 /// Normalized cross-correlation (Pearson at each lag, in [-1,1]):
 /// the sliding-window correlation used by the waveform-matching
 /// baseline [11]. Output length: len(signal)-len(kernel)+1.
@@ -59,9 +50,5 @@ std::vector<std::size_t> find_peaks(std::span<const float> xs,
 
 /// Absolute of each element.
 std::vector<float> absolute(std::span<const float> xs);
-
-/// Downsamples by an integer factor >= 1, averaging each block (a simple
-/// model of oscilloscope decimation).
-std::vector<float> decimate(std::span<const float> xs, std::size_t factor);
 
 }  // namespace scalocate::signal

@@ -96,12 +96,6 @@ std::size_t argmax(std::span<const float> xs) {
       std::distance(xs.begin(), std::max_element(xs.begin(), xs.end())));
 }
 
-std::size_t argmin(std::span<const float> xs) {
-  detail::require(!xs.empty(), "stats::argmin: empty input");
-  return static_cast<std::size_t>(
-      std::distance(xs.begin(), std::min_element(xs.begin(), xs.end())));
-}
-
 void RunningMoments::add(double x) {
   ++n_;
   const double delta = x - mean_;

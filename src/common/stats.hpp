@@ -37,9 +37,6 @@ float max_value(std::span<const float> xs);
 /// Index of the maximum element (first occurrence). Input must be non-empty.
 std::size_t argmax(std::span<const float> xs);
 
-/// Index of the minimum element (first occurrence). Input must be non-empty.
-std::size_t argmin(std::span<const float> xs);
-
 /// Online mean/variance accumulator (Welford). Numerically stable for the
 /// long accumulations done by the incremental CPA engine.
 class RunningMoments {

@@ -15,7 +15,7 @@
 // streamed detections equal locate() by construction. Inference is const
 // and thread-safe: the model is only read, and all per-call scratch lives
 // in an nn::Workspace, so one trained CoLocator can serve concurrent
-// locate() calls (see runtime/locator_service).
+// locate() calls (see api::Engine).
 #pragma once
 
 #include <memory>

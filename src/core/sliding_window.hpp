@@ -9,7 +9,7 @@
 // The hot path is zero-copy: score_into standardizes each window straight
 // from the trace span into the workspace's reusable batch tensor (no
 // per-window staging buffer) and writes scores into caller-owned storage.
-// CoLocator, StreamingLocator, and LocatorService all score through this
+// CoLocator, StreamingLocator, and api::Engine's jobs all score through this
 // one path, so they share the model's eval forward: depth-first, one
 // window through every layer before the next, with no allocation after
 // warm-up beyond the logits (see nn/sequential.hpp).
@@ -17,7 +17,7 @@
 // The classifier never mutates the model: it requires an eval-mode network
 // and routes every forward pass through a caller-owned (or per-classifier)
 // nn::Workspace, so one trained model can serve many concurrent
-// classifiers (see runtime/locator_service).
+// classifiers (see api::Engine).
 #pragma once
 
 #include <span>

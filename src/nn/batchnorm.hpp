@@ -41,10 +41,6 @@ class BatchNorm1d final : public Layer {
   std::span<const float> running_mean() const { return running_mean_; }
   std::span<const float> running_var() const { return running_var_; }
 
-  /// Direct access for (de)serialization of the running statistics.
-  std::vector<float>& mutable_running_mean() { return running_mean_; }
-  std::vector<float>& mutable_running_var() { return running_var_; }
-
  private:
   std::size_t channels_;
   double eps_;

@@ -17,9 +17,9 @@
 //     hardware concurrency). This is what standalone callers — the
 //     trainer, offline CoLocator::locate, the benches — run with.
 //   - intra_op_threads() / set_intra_op_threads() scope a per-thread
-//     budget: runtime::LocatorService and api::Engine set it around each
-//     job from their ServiceConfig/EngineConfig::intra_op_threads knob
-//     (default 1: a saturated service pool already uses every core).
+//     budget: api::Engine sets it around each job from its
+//     EngineConfig::intra_op_threads knob (default 1: a saturated job
+//     pool already uses every core).
 //
 // Nested parallel regions never fan out twice: a chunk that itself calls
 // parallel_for runs its chunks inline, so compute-pool workers cannot

@@ -4,7 +4,7 @@
 // caller-owned Workspace instead of layer members. A trained model can
 // therefore be shared across threads: each concurrent caller owns a private
 // Workspace and runs eval-mode forward passes on the same layers without
-// synchronization (the runtime/ LocatorService relies on this). backward
+// synchronization (api::Engine's job pool relies on this). backward
 // reads the caches the paired forward left in the same workspace, so
 // callers must pass one workspace per in-flight forward/backward pair.
 //

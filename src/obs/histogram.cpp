@@ -95,20 +95,25 @@ double Histogram::Snapshot::quantile(double q) const {
   if (count == 0) return 0.0;
   if (q <= 0.0) return static_cast<double>(min);
   if (q >= 1.0) return static_cast<double>(max);
-  // Same rank convention as percentile_sorted: the sample at fractional
-  // position q*(n-1) of the sorted sequence — answered at its bucket's
-  // midpoint, clamped into the exact [min, max] envelope.
-  const auto rank = static_cast<std::uint64_t>(
-      q * static_cast<double>(count - 1));
-  std::uint64_t cum = 0;
-  for (std::size_t i = 0; i < kBuckets; ++i) {
-    cum += buckets[i];
-    if (cum > rank) {
-      const double v = static_cast<double>(bucket_midpoint(i));
-      return std::clamp(v, static_cast<double>(min), static_cast<double>(max));
+  // Same rank convention as percentile_sorted: linear interpolation at
+  // fractional position q*(n-1) of the sorted sequence, between the two
+  // neighboring samples — each answered at its bucket's midpoint, clamped
+  // into the exact [min, max] envelope.
+  const auto at_rank = [this](std::uint64_t rank) {
+    std::uint64_t cum = 0;
+    for (std::size_t i = 0; i < kBuckets; ++i) {
+      cum += buckets[i];
+      if (cum > rank)
+        return std::clamp(static_cast<double>(bucket_midpoint(i)),
+                          static_cast<double>(min), static_cast<double>(max));
     }
-  }
-  return static_cast<double>(max);
+    return static_cast<double>(max);
+  };
+  const double pos = q * static_cast<double>(count - 1);
+  const auto lo = static_cast<std::uint64_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (frac == 0.0) return at_rank(lo);
+  return at_rank(lo) * (1.0 - frac) + at_rank(lo + 1) * frac;
 }
 
 void Histogram::Snapshot::merge(const Snapshot& other) {

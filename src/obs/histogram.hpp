@@ -1,6 +1,6 @@
 // Fixed-bucket log-scale histogram for latency/size distributions, plus the
 // system-wide exact-percentile helpers (the one sorted-sample quantile
-// implementation; bench::percentile delegates here).
+// implementation).
 //
 // Design constraints (serving hot path):
 //   - record() is lock-free and allocation-free: one bucket index
@@ -31,9 +31,8 @@ namespace scalocate::obs {
 
 /// Linear-interpolated percentile over unsorted samples, q clamped into
 /// [0, 1]. Empty input returns 0. This is THE exact-percentile
-/// implementation of the codebase (bench_common's percentile() forwards
-/// here); Histogram::Snapshot::quantile uses the same rank convention
-/// (pos = q * (n - 1)) over its merged buckets.
+/// implementation of the codebase; Histogram::Snapshot::quantile uses the
+/// same rank convention (pos = q * (n - 1)) over its merged buckets.
 double percentile(std::vector<double> values, double q);
 
 /// Same, over samples the caller has already sorted ascending.
@@ -73,8 +72,10 @@ class Histogram {
     std::uint64_t max = 0;  ///< exact largest recorded value
     std::array<std::uint64_t, kBuckets> buckets{};
 
-    /// Exact-rank quantile answered at bucket midpoints; q clamped to
-    /// [0, 1]. q=0 returns the exact min, q=1 the exact max.
+    /// Quantile by percentile_sorted's rank convention (linear
+    /// interpolation between the two neighboring ranks), each rank
+    /// answered at its bucket midpoint; q clamped to [0, 1]. q=0 returns
+    /// the exact min, q=1 the exact max.
     double quantile(double q) const;
     double mean() const {
       return count ? static_cast<double>(sum) / static_cast<double>(count) : 0.0;

@@ -7,13 +7,13 @@
 // on the hot path":
 //
 //   obs::Registry reg;
-//   obs::Counter& reqs = reg.counter("engine.aes128.requests");
+//   obs::Counter& reqs = reg.counter("engine.aes.requests");
 //   ...
 //   reqs.add();                              // hot path, no locks
 //
 // Instrument naming scheme (dot-separated, lowercase, unit suffix on time
 // series): `<layer>.<model-or-shape>.<metric>[_<unit>]`, e.g.
-// `engine.aes128.latency_ns`, `stream.camellia128.samples_fed`,
+// `engine.aes.latency_ns`, `stream.camellia.samples_fed`,
 // `kernels.gemm.flops`. See README "Observability".
 //
 // Snapshots render every instrument, sorted by name within kind, in two

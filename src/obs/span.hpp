@@ -6,7 +6,7 @@
 // the zero-ceremony way to get p50/p99/p999 for any code region:
 //
 //   void handle(...) {
-//     obs::SpanTimer span(registry.histogram("engine.aes128.latency_ns"));
+//     obs::SpanTimer span(registry.histogram("engine.aes.latency_ns"));
 //     ...                                  // timed work
 //   }                                      // destructor records
 //

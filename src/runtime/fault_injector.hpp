@@ -7,9 +7,8 @@
 //
 //   site              hook location                       actions
 //   ----------------  ----------------------------------  --------------
-//   "service.job"     LocatorService worker, before the   throw, stall
-//   (or "<metric      locate runs (prefix follows the
-//    prefix>.job")    service's metric_prefix)
+//   "engine.<model>   api::Engine pool worker, before a   throw, stall
+//    .job"            whole-trace locate job runs
 //   "stream.feed"     StreamingLocator::feed, on the      poison (NaN)
 //                     chunk before validation
 //   "artifact.read"   api::load_artifact, on the raw      truncate

@@ -62,26 +62,25 @@ ScrubResult scrub_non_finite(std::span<const float> chunk,
 
 StreamMetrics StreamMetrics::resolve(obs::Registry& registry,
                                      const std::string& prefix) {
-  const std::string p = prefix.empty() ? "stream" : prefix;
   StreamMetrics m;
-  m.samples_fed = &registry.counter(p + ".samples_fed");
-  m.windows_scored = &registry.counter(p + ".windows_scored");
-  m.detections = &registry.counter(p + ".detections");
-  m.corrupt_samples = &registry.counter(p + ".corrupt_samples");
-  m.emission_lag_samples = &registry.histogram(p + ".emission_lag_samples");
+  m.samples_fed = &registry.counter(prefix + ".samples_fed");
+  m.windows_scored = &registry.counter(prefix + ".windows_scored");
+  m.detections = &registry.counter(prefix + ".detections");
+  m.corrupt_samples = &registry.counter(prefix + ".corrupt_samples");
+  m.emission_lag_samples =
+      &registry.histogram(prefix + ".emission_lag_samples");
   return m;
 }
 
 StreamingLocator::StreamingLocator(const core::CoLocator& locator,
-                                   StreamingConfig config)
+                                   StreamingConfig config,
+                                   StreamMetrics metrics)
     : classifier_(require_trained(locator).model(),
                   locator.config().params.n_inf,
                   locator.config().params.stride, config.batch_size),
       nan_policy_(config.nan_policy),
-      detector_(locator.detector_config(stream_threshold(locator))) {
-  if (config.registry)
-    metrics_ = StreamMetrics::resolve(*config.registry, config.metric_prefix);
-}
+      detector_(locator.detector_config(stream_threshold(locator))),
+      metrics_(metrics) {}
 
 void StreamingLocator::reset() {
   ring_.reset();
@@ -104,7 +103,7 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   const ScrubResult scrub = scrub_non_finite(data, nan_policy_, sanitize_buf_);
   if (scrub.bad > 0) {
     corrupt_samples_ += scrub.bad;
-    if (metrics_.enabled()) metrics_.corrupt_samples->add(scrub.bad);
+    metrics_.corrupt_samples->add(scrub.bad);
     if (nan_policy_ == StreamingConfig::NanPolicy::kReject)
       // Stream state untouched: the bad chunk is simply not part of the
       // stream, so the caller can keep feeding clean chunks and parity
@@ -115,7 +114,7 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
   }
   data = scrub.data;
 
-  if (metrics_.enabled()) metrics_.samples_fed->add(data.size());
+  metrics_.samples_fed->add(data.size());
   ring_.append(data);
   std::vector<Detection> out;
   pump(/*eof=*/false, out);
@@ -135,14 +134,11 @@ void StreamingLocator::pump(bool eof, std::vector<Detection>& out) {
   const std::size_t head = ring_.size();
   detector_.advance(ring_.view(ring_.oldest(), head - ring_.oldest()),
                     ring_.oldest(), eof, out);
-  if (metrics_.enabled()) {
-    for (const Detection& d : out) {
-      metrics_.detections->add();
-      // Emission lag: how far the stream head ran ahead before this
-      // detection could be finalized.
-      metrics_.emission_lag_samples->record(head > d.start ? head - d.start
-                                                           : 0);
-    }
+  for (const Detection& d : out) {
+    metrics_.detections->add();
+    // Emission lag: how far the stream head ran ahead before this
+    // detection could be finalized.
+    metrics_.emission_lag_samples->record(head > d.start ? head - d.start : 0);
   }
   // Keep the next unscored window and whatever the detector may still read.
   if (!eof)
@@ -171,7 +167,7 @@ void StreamingLocator::score_ready_windows() {
         scores_buf_.data(), ws_);
     detector_.push(scores_buf_);
     next_window_ += count;
-    if (metrics_.enabled()) metrics_.windows_scored->add(count);
+    metrics_.windows_scored->add(count);
   }
 }
 

@@ -54,18 +54,11 @@ struct StreamingConfig {
   NanPolicy nan_policy = NanPolicy::kReject;
   /// Windows scored per CNN forward pass.
   std::size_t batch_size = 64;
-  /// Telemetry sink. When set, the stream counts samples fed, windows
-  /// scored and detections emitted, and records per-detection emission lag
-  /// (stream head minus detection start, in samples) under `metric_prefix`.
-  /// Pure observation: detections stay bit-identical to the offline path.
-  /// Null = telemetry off. The registry must outlive the stream.
-  obs::Registry* registry = nullptr;
-  /// Instrument name prefix, e.g. "stream.aes128" (default "stream").
-  std::string metric_prefix;
 };
 
-/// Resolved per-stream instrument set. Streams sharing a prefix (e.g. every
-/// stream of one model) aggregate into the same instruments.
+/// Resolved per-stream instrument set; every pointer is set. Streams sharing
+/// a prefix (e.g. every stream of one model) aggregate into the same
+/// instruments.
 struct StreamMetrics {
   obs::Counter* samples_fed = nullptr;
   obs::Counter* windows_scored = nullptr;
@@ -79,7 +72,7 @@ struct StreamMetrics {
   /// half-width + refinement radius, see the class comment).
   obs::Histogram* emission_lag_samples = nullptr;
 
-  bool enabled() const { return samples_fed != nullptr; }
+  /// Registers the instrument set under `prefix` in `registry`.
   static StreamMetrics resolve(obs::Registry& registry,
                                const std::string& prefix);
 };
@@ -89,9 +82,13 @@ class StreamingLocator {
   /// `locator` must be trained and outlive this object; its model is
   /// shared, never copied. Each StreamingLocator owns its scratch
   /// workspace, so independent instances may run on separate threads
-  /// against the same locator.
-  explicit StreamingLocator(const core::CoLocator& locator,
-                            StreamingConfig config = {});
+  /// against the same locator. The stream records into `metrics`; by
+  /// default the `stream.*` instruments of obs::Registry::global() (an
+  /// api::Stream records into its model's `stream.<model>.*`).
+  explicit StreamingLocator(
+      const core::CoLocator& locator, StreamingConfig config = {},
+      StreamMetrics metrics =
+          StreamMetrics::resolve(obs::Registry::global(), "stream"));
 
   /// Pushes a chunk of samples; returns every detection that became final.
   /// A chunk with non-finite samples is handled per
@@ -119,8 +116,8 @@ class StreamingLocator {
   float threshold() const { return detector_.config().threshold; }
   std::size_t median_k() const { return detector_.config().median_k; }
   bool finished() const { return finished_; }
-  /// Non-finite samples seen at feed() boundaries on this stream
-  /// (maintained with or without telemetry). reset() clears it.
+  /// Non-finite samples seen at feed() boundaries on this stream. reset()
+  /// clears it.
   std::size_t corrupt_samples() const { return corrupt_samples_; }
 
  private:
@@ -142,7 +139,7 @@ class StreamingLocator {
   std::vector<float> scores_buf_;
   std::vector<float> sanitize_buf_;  ///< feed() NaN-scrub / poison scratch
 
-  StreamMetrics metrics_;  ///< all-null when telemetry is off
+  StreamMetrics metrics_;
 };
 
 }  // namespace scalocate::runtime

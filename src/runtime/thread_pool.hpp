@@ -3,9 +3,9 @@
 // Idle workers park on their own condition variables, and the pool's wake
 // order picks the one post() wakes (see WakeOrder).
 //
-// Tasks receive the executing worker's index, which is how the
-// LocatorService hands each worker a private scratch workspace while every
-// worker shares one read-only model. submit() wraps a callable into a
+// Tasks receive the executing worker's index, which is how api::Engine
+// hands each worker a private scratch workspace while every worker shares
+// one read-only model. submit() wraps a callable into a
 // std::future for callers that want the result; post() is the
 // fire-and-forget path.
 #pragma once
@@ -25,8 +25,7 @@
 namespace scalocate::runtime {
 
 /// Resolves a configured worker count: 0 = hardware concurrency (at least
-/// 1). Shared by ThreadPool owners (LocatorService, api::Engine) so their
-/// defaults cannot diverge.
+/// 1).
 std::size_t resolve_workers(std::size_t configured);
 
 class ThreadPool {
@@ -37,7 +36,7 @@ class ThreadPool {
   /// Which parked worker post() wakes.
   enum class WakeOrder {
     /// The longest-parked one, so work rotates over every worker. The
-    /// LocatorService's job pool: waking the last-parked one instead cost
+    /// api::Engine's job pool: waking the last-parked one instead cost
     /// `locate` 3-7% of its throughput.
     kFirstParked,
     /// The most recently parked one. Back-to-back short tasks (the

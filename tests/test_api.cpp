@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <thread>
 
 #include "api/scalocate.hpp"
@@ -401,6 +402,26 @@ TEST_F(ApiFacade, StreamResetStartsOver) {
   }
 }
 
+TEST_F(ApiFacade, StreamOutlivesItsEngine) {
+  // A Stream uses neither the Engine's pool nor its queue, so it stays
+  // valid after the Engine is gone, still recording into the Engine's
+  // private registry.
+  std::optional<api::Stream> stream;
+  {
+    api::Engine engine({.workers = 1});
+    engine.attach_model(*locator_);
+    stream.emplace(engine.open_session().open_stream());
+  }
+  std::vector<std::size_t> starts;
+  const std::span<const float> samples(eval_->samples);
+  for (std::size_t off = 0; off < samples.size(); off += 4096)
+    for (const auto& d : stream->feed(
+             samples.subspan(off, std::min<std::size_t>(4096, samples.size() - off))))
+      starts.push_back(d.start);
+  for (const auto& d : stream->finish()) starts.push_back(d.start);
+  EXPECT_EQ(starts, *offline_);
+}
+
 TEST_F(ApiFacade, OpenSessionWithoutModelThrows) {
   api::Engine engine({.workers = 1});
   EXPECT_THROW(engine.open_session(), InvalidArgument);
@@ -451,42 +472,40 @@ TEST_F(ApiFacade, EngineServesMultipleCiphersSideBySide) {
 TEST_F(ApiFacade, SubmitBlocksAtMaxQueueDepth) {
   constexpr std::size_t kDepth = 2;
   constexpr std::size_t kJobs = 8;
-  runtime::LocatorService service(*locator_,
-                                  {.workers = 1, .max_queue_depth = kDepth});
-  EXPECT_EQ(service.max_queue_depth(), kDepth);
+  api::Engine engine({.workers = 1, .max_queue_depth = kDepth});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  const auto& m = session.metrics();
 
   std::vector<std::future<std::vector<std::size_t>>> futures;
   futures.reserve(kJobs);
   std::atomic<bool> done{false};
   std::thread producer([&] {
     for (std::size_t j = 0; j < kJobs; ++j)
-      futures.push_back(service.submit_view(eval_->samples));
+      futures.push_back(session.submit_view(eval_->samples));
     done = true;
   });
 
   // While the producer is pushing, in-flight jobs may never exceed the
-  // bound: submit blocks instead of queueing unboundedly.
+  // bound: submit blocks instead of queueing unboundedly. The queue_depth
+  // gauge counts accepted jobs (queued + running), not blocked submitters.
   std::size_t max_in_flight = 0;
   while (!done.load()) {
-    // Read submitted before completed: a completion racing in between can
-    // only shrink the apparent depth, never inflate it.
-    const std::size_t submitted = service.jobs_submitted();
-    const std::size_t completed = service.jobs_completed();
-    if (completed <= submitted) {
-      const std::size_t in_flight = submitted - completed;
-      max_in_flight = std::max(max_in_flight, in_flight);
-      EXPECT_LE(in_flight, kDepth);
-    }
+    const auto in_flight = static_cast<std::size_t>(m.queue_depth->value());
+    max_in_flight = std::max(max_in_flight, in_flight);
+    EXPECT_LE(in_flight, kDepth);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   producer.join();
   for (auto& f : futures) EXPECT_EQ(f.get(), *offline_);
   // Futures resolve before the worker-side accounting lands; drain() waits
   // for the books before the exact counter check.
-  service.drain();
-  EXPECT_EQ(service.jobs_completed(), kJobs);
+  session.drain();
+  EXPECT_EQ(m.completed->value(), kJobs);
   // The bound was actually exercised (the single worker saturated).
   EXPECT_GE(max_in_flight, kDepth - 1);
+  EXPECT_LE(m.queue_depth->max(), static_cast<std::int64_t>(kDepth));
+  EXPECT_GE(m.queue_depth->max(), static_cast<std::int64_t>(kDepth - 1));
 }
 
 TEST_F(ApiFacade, CancelledQueuedJobNeverRuns) {
@@ -496,9 +515,9 @@ TEST_F(ApiFacade, CancelledQueuedJobNeverRuns) {
 
   // Occupy the single worker, then cancel a queued job before it starts.
   auto running = session.submit(eval_->samples);
-  auto job = session.submit_job(eval_->samples);
-  job.cancel();
-  EXPECT_TRUE(job.cancel_requested());
+  const auto cancel = std::make_shared<std::atomic<bool>>(false);
+  auto job = session.submit(eval_->samples, {.cancel = cancel});
+  cancel->store(true);
 
   EXPECT_EQ(running.get(), *offline_);
   EXPECT_THROW(job.get(), Cancelled);
@@ -508,9 +527,10 @@ TEST_F(ApiFacade, CancelAfterCompletionIsNoOp) {
   api::Engine engine({.workers = 2});
   engine.attach_model(*locator_);
   auto session = engine.open_session();
-  auto job = session.submit_job(eval_->samples);
+  const auto cancel = std::make_shared<std::atomic<bool>>(false);
+  auto job = session.submit(eval_->samples, {.cancel = cancel});
   const auto starts = job.get();
-  job.cancel();  // too late: the result already exists
+  cancel->store(true);  // too late: the result already exists
   EXPECT_EQ(starts, *offline_);
 }
 
@@ -523,7 +543,6 @@ TEST_F(ApiFacade, EngineMetricsAccountForEveryJob) {
   api::Engine engine({.workers = 2, .registry = &registry});
   engine.attach_model(*locator_);
   auto session = engine.open_session();
-  ASSERT_TRUE(session.metrics().enabled());
 
   constexpr std::size_t kJobs = 10;
   std::vector<std::future<std::vector<std::size_t>>> futures;
@@ -567,23 +586,28 @@ TEST_F(ApiFacade, EngineMetricsAccountForEveryJob) {
 }
 
 TEST_F(ApiFacade, TelemetryIsObservablyFreeOfBehaviorChange) {
-  // The same workload through an instrumented and an uninstrumented engine
-  // must produce bit-identical detections — telemetry never perturbs the
-  // pipeline. (The uninstrumented engine reports metrics as disabled.)
+  // The same workload through an engine publishing into the caller's
+  // registry and one keeping a private registry must produce bit-identical
+  // detections: where telemetry goes never perturbs the pipeline.
   obs::Registry registry;
-  api::Engine instrumented({.workers = 2, .registry = &registry});
-  api::Engine plain({.workers = 2});
-  instrumented.attach_model(*locator_);
-  plain.attach_model(*locator_);
-  auto with = instrumented.open_session();
-  auto without = plain.open_session();
-  EXPECT_FALSE(without.metrics().enabled());
+  api::Engine external({.workers = 2, .registry = &registry});
+  api::Engine internal({.workers = 2});
+  external.attach_model(*locator_);
+  internal.attach_model(*locator_);
+  auto ext = external.open_session();
+  auto own = internal.open_session();
 
-  EXPECT_EQ(with.submit_view(eval_->samples).get(),
-            without.submit_view(eval_->samples).get());
-  EXPECT_EQ(stream_starts(with, eval_->samples, 3000),
-            stream_starts(without, eval_->samples, 3000));
-  EXPECT_EQ(plain.telemetry_json(), "{}");
+  EXPECT_EQ(ext.submit_view(eval_->samples).get(),
+            own.submit_view(eval_->samples).get());
+  EXPECT_EQ(stream_starts(ext, eval_->samples, 3000),
+            stream_starts(own, eval_->samples, 3000));
+
+  // The private registry counts the job like any other.
+  own.drain();
+  const auto& m = own.metrics();
+  EXPECT_EQ(m.requests->value(), 1u);
+  EXPECT_EQ(m.completed->value(), 1u);
+  EXPECT_EQ(m.latency_ns->count(), 1u);
 }
 
 TEST_F(ApiFacade, StreamMetricsCountSamplesWindowsAndDetections) {

@@ -10,7 +10,7 @@
 //   - accepted work is unaffected: results of jobs that complete stay
 //     bit-identical to offline CoLocator::locate;
 //   - the books balance: FaultInjector::injected(site) reconciles exactly
-//     with the typed errors observed and with the service/obs counters
+//     with the typed errors observed and with the engine's obs counters
 //     (shed, rejected, deadline_exceeded, retries, watchdog_trips).
 //
 // Training is the expensive part, so one Camellia model (shortest CO) is
@@ -30,7 +30,6 @@
 #include "api/scalocate.hpp"
 #include "obs/registry.hpp"
 #include "runtime/fault_injector.hpp"
-#include "runtime/locator_service.hpp"
 #include "runtime/streaming_locator.hpp"
 #include "trace/scenario.hpp"
 
@@ -102,19 +101,32 @@ std::vector<std::size_t>* FaultsSuite::offline_ = nullptr;
 std::string* FaultsSuite::artifact_ = nullptr;
 
 // ---------------------------------------------------------------------------
-// Worker faults through the service
+// Worker faults through the Engine
 // ---------------------------------------------------------------------------
+
+/// The fault site of the suite's model: api::Engine names it after the
+/// model's instruments.
+constexpr const char* kJobSite = "engine.camellia.job";
+
+/// Accepted jobs of a session's model: every request not refused at
+/// admission.
+std::uint64_t accepted(const api::Session& session) {
+  const auto& m = session.metrics();
+  return m.requests->value() - m.rejected->value();
+}
 
 TEST_F(FaultsSuite, InjectedWorkerThrowIsTypedTransientAndAccountedFor) {
   auto& injector = runtime::FaultInjector::instance();
   runtime::FaultSpec spec;
   spec.action = runtime::FaultSpec::Action::kThrow;
   spec.times = 2;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
-  runtime::LocatorService service(*locator_, {.workers = 2});
+  api::Engine engine({.workers = 2});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
   std::vector<std::future<std::vector<std::size_t>>> futures;
-  for (int i = 0; i < 6; ++i) futures.push_back(service.submit_view(eval_span()));
+  for (int i = 0; i < 6; ++i) futures.push_back(session.submit_view(eval_span()));
 
   std::size_t faulted = 0;
   for (auto& f : futures) {
@@ -127,24 +139,26 @@ TEST_F(FaultsSuite, InjectedWorkerThrowIsTypedTransientAndAccountedFor) {
   }
   // Exactly the injected faults surfaced, as typed errors, nowhere else.
   EXPECT_EQ(faulted, 2u);
-  EXPECT_EQ(injector.injected("service.job"), 2u);
-  EXPECT_EQ(injector.hits("service.job"), 6u);
-  service.drain();
-  EXPECT_EQ(service.jobs_completed(), service.jobs_submitted());
+  EXPECT_EQ(injector.injected(kJobSite), 2u);
+  EXPECT_EQ(injector.hits(kJobSite), 6u);
+  session.drain();
+  EXPECT_EQ(session.metrics().completed->value(), accepted(session));
 }
 
 TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
-  runtime::ServiceConfig cfg;
+  api::EngineConfig cfg;
   cfg.workers = 2;
   cfg.watchdog_p99_multiple = 3.0;
   cfg.watchdog_min_samples = 16;
-  cfg.watchdog_poll = 5ms;
-  runtime::LocatorService service(*locator_, cfg);
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  const auto& trips = *session.metrics().watchdog_trips;
 
   // Establish a p99 baseline with small, fast jobs (noise-only slices).
   const auto slice = eval_span().subspan(0, 4096);
-  for (int i = 0; i < 20; ++i) service.submit_view(slice).get();
-  EXPECT_EQ(service.watchdog_trips(), 0u);
+  for (int i = 0; i < 20; ++i) session.submit_view(slice).get();
+  EXPECT_EQ(trips.value(), 0u);
 
   // One wedged worker: stalls far past 3x the baseline p99.
   auto& injector = runtime::FaultInjector::instance();
@@ -152,12 +166,12 @@ TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
   spec.action = runtime::FaultSpec::Action::kStall;
   spec.stall = 1200ms;
   spec.times = 1;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
-  EXPECT_EQ(service.submit_view(slice).get(),
+  EXPECT_EQ(session.submit_view(slice).get(),
             locator_->locate(slice));  // flagged, never killed
-  EXPECT_EQ(injector.injected("service.job"), 1u);
-  EXPECT_EQ(service.watchdog_trips(), 1u);
+  EXPECT_EQ(injector.injected(kJobSite), 1u);
+  EXPECT_EQ(trips.value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -165,10 +179,12 @@ TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultsSuite, ExpiredDeadlineIsRejectedBeforeQueueing) {
-  runtime::LocatorService service(*locator_, {.workers = 1});
-  runtime::SubmitOptions options;
+  api::Engine engine({.workers = 1});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  api::SubmitOptions options;
   options.deadline = std::chrono::steady_clock::now() - 1ms;
-  auto future = service.submit_view(eval_span(), nullptr, options);
+  auto future = session.submit_view(eval_span(), options);
   try {
     future.get();
     FAIL() << "expected DeadlineExceeded";
@@ -176,9 +192,10 @@ TEST_F(FaultsSuite, ExpiredDeadlineIsRejectedBeforeQueueing) {
     EXPECT_TRUE(is_transient(e));
   }
   // Rejected cheaply: never accepted, no worker touched it.
-  EXPECT_EQ(service.jobs_submitted(), 0u);
-  EXPECT_EQ(service.jobs_rejected(), 1u);
-  EXPECT_EQ(service.jobs_deadline_exceeded(), 1u);
+  const auto& m = session.metrics();
+  EXPECT_EQ(accepted(session), 0u);
+  EXPECT_EQ(m.rejected->value(), 1u);
+  EXPECT_EQ(m.deadline_exceeded->value(), 1u);
 }
 
 TEST_F(FaultsSuite, DeadlineExpiringInQueueFailsWithoutRunning) {
@@ -189,27 +206,60 @@ TEST_F(FaultsSuite, DeadlineExpiringInQueueFailsWithoutRunning) {
   spec.action = runtime::FaultSpec::Action::kStall;
   spec.stall = 250ms;
   spec.times = 1;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
-  runtime::LocatorService service(*locator_, {.workers = 1});
-  auto blocker = service.submit_view(eval_span());
+  api::Engine engine({.workers = 1});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  auto blocker = session.submit_view(eval_span());
 
-  runtime::SubmitOptions options;
+  api::SubmitOptions options;
   options.timeout = 5ms;
   std::vector<std::future<std::vector<std::size_t>>> doomed;
   for (int i = 0; i < 3; ++i)
-    doomed.push_back(service.submit_view(eval_span(), nullptr, options));
+    doomed.push_back(session.submit_view(eval_span(), options));
 
   EXPECT_EQ(blocker.get(), *offline_);
   for (auto& f : doomed) EXPECT_THROW(f.get(), DeadlineExceeded);
-  service.drain();
+  session.drain();
   // Expired-in-queue jobs were accepted, so they complete (exceptionally)
   // and the books still balance.
-  EXPECT_EQ(service.jobs_submitted(), 4u);
-  EXPECT_EQ(service.jobs_completed(), 4u);
-  EXPECT_EQ(service.jobs_deadline_exceeded(), 3u);
+  const auto& m = session.metrics();
+  EXPECT_EQ(accepted(session), 4u);
+  EXPECT_EQ(m.completed->value(), 4u);
+  EXPECT_EQ(m.deadline_exceeded->value(), 3u);
   // The worker only ever ran the blocker: 1 hit at the job site.
-  EXPECT_EQ(injector.hits("service.job"), 1u);
+  EXPECT_EQ(injector.hits(kJobSite), 1u);
+}
+
+TEST_F(FaultsSuite, BlockedSubmitGivesUpAtItsDeadline) {
+  // kBlock with a deadline: one worker, one slot, the first job stalled, so
+  // a second submit blocks on backpressure until its timeout passes.
+  auto& injector = runtime::FaultInjector::instance();
+  runtime::FaultSpec spec;
+  spec.action = runtime::FaultSpec::Action::kStall;
+  spec.stall = 250ms;
+  spec.times = 1;
+  injector.arm(kJobSite, spec);
+
+  api::Engine engine({.workers = 1, .max_queue_depth = 1});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  auto blocker = session.submit_view(eval_span());
+
+  api::SubmitOptions options;
+  options.timeout = 20ms;
+  auto doomed = session.submit_view(eval_span(), options);
+  EXPECT_THROW(doomed.get(), DeadlineExceeded);
+
+  EXPECT_EQ(blocker.get(), *offline_);
+  session.drain();
+  const auto& m = session.metrics();
+  EXPECT_EQ(m.backpressure_blocks->value(), 1u);
+  EXPECT_EQ(m.rejected->value(), 1u);
+  EXPECT_EQ(m.deadline_exceeded->value(), 1u);
+  EXPECT_EQ(accepted(session), 1u);  // the blocker only
+  EXPECT_EQ(m.completed->value(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -222,24 +272,26 @@ TEST_F(FaultsSuite, RejectWhenFullThrowsOverloadedSynchronously) {
   spec.action = runtime::FaultSpec::Action::kStall;
   spec.stall = 250ms;
   spec.times = 1;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
-  runtime::ServiceConfig cfg;
+  api::EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_queue_depth = 1;
-  cfg.admission = runtime::AdmissionPolicy::kRejectWhenFull;
-  runtime::LocatorService service(*locator_, cfg);
+  cfg.admission = api::AdmissionPolicy::kRejectWhenFull;
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
 
-  auto accepted = service.submit_view(eval_span());  // fills the only slot
+  auto first = session.submit_view(eval_span());  // fills the only slot
   try {
-    service.submit_view(eval_span());
+    session.submit_view(eval_span());
     FAIL() << "expected Overloaded";
   } catch (const Overloaded& e) {
     EXPECT_TRUE(is_transient(e));
   }
-  EXPECT_EQ(accepted.get(), *offline_);  // accepted work unaffected
-  EXPECT_EQ(service.jobs_rejected(), 1u);
-  EXPECT_EQ(service.jobs_submitted(), 1u);
+  EXPECT_EQ(first.get(), *offline_);  // accepted work unaffected
+  EXPECT_EQ(session.metrics().rejected->value(), 1u);
+  EXPECT_EQ(accepted(session), 1u);
 }
 
 TEST_F(FaultsSuite, ShedByDeadlineEvictsTheLeastViableQueuedJob) {
@@ -248,41 +300,75 @@ TEST_F(FaultsSuite, ShedByDeadlineEvictsTheLeastViableQueuedJob) {
   spec.action = runtime::FaultSpec::Action::kStall;
   spec.stall = 300ms;
   spec.times = 1;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
-  runtime::ServiceConfig cfg;
+  api::EngineConfig cfg;
   cfg.workers = 1;
   cfg.max_queue_depth = 2;
-  cfg.admission = runtime::AdmissionPolicy::kShedByDeadline;
-  runtime::LocatorService service(*locator_, cfg);
+  cfg.admission = api::AdmissionPolicy::kShedByDeadline;
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  const auto& m = session.metrics();
 
   const auto now = std::chrono::steady_clock::now();
-  auto running = service.submit_view(eval_span());  // dispatched, stalling
+  auto running = session.submit_view(eval_span());  // dispatched, stalling
 
-  runtime::SubmitOptions tight;
+  api::SubmitOptions tight;
   tight.deadline = now + 10s;
-  auto victim = service.submit_view(eval_span(), nullptr, tight);  // queued
+  auto victim = session.submit_view(eval_span(), tight);  // queued
 
   // Full. A looser-deadline arrival evicts the queued tighter-deadline job
   // (the one least likely to make it).
-  runtime::SubmitOptions loose;
+  api::SubmitOptions loose;
   loose.deadline = now + 20s;
-  auto admitted = service.submit_view(eval_span(), nullptr, loose);
+  auto admitted = session.submit_view(eval_span(), loose);
   EXPECT_THROW(victim.get(), Overloaded);
-  EXPECT_EQ(service.jobs_shed(), 1u);
+  EXPECT_EQ(m.shed->value(), 1u);
 
   // Full again. An arrival with the tightest deadline of all is itself the
   // victim: rejected synchronously, nothing evicted.
-  runtime::SubmitOptions tightest;
+  api::SubmitOptions tightest;
   tightest.deadline = now + 5s;
-  EXPECT_THROW(service.submit_view(eval_span(), nullptr, tightest), Overloaded);
-  EXPECT_EQ(service.jobs_shed(), 1u);
-  EXPECT_EQ(service.jobs_rejected(), 1u);
+  EXPECT_THROW(session.submit_view(eval_span(), tightest), Overloaded);
+  EXPECT_EQ(m.shed->value(), 1u);
+  EXPECT_EQ(m.rejected->value(), 1u);
 
   EXPECT_EQ(running.get(), *offline_);
   EXPECT_EQ(admitted.get(), *offline_);
-  service.drain();
-  EXPECT_EQ(service.jobs_completed(), service.jobs_submitted());
+  session.drain();
+  EXPECT_EQ(m.completed->value(), accepted(session));
+}
+
+TEST_F(FaultsSuite, ShedByDeadlineWithEverySlotRunningRefusesTheIncomingJob) {
+  // Nothing queued to evict: the one slot is running, so the incoming job
+  // is refused synchronously and nothing is shed.
+  auto& injector = runtime::FaultInjector::instance();
+  runtime::FaultSpec spec;
+  spec.action = runtime::FaultSpec::Action::kStall;
+  spec.stall = 250ms;
+  spec.times = 1;
+  injector.arm(kJobSite, spec);
+
+  api::EngineConfig cfg;
+  cfg.workers = 1;
+  cfg.max_queue_depth = 1;
+  cfg.admission = api::AdmissionPolicy::kShedByDeadline;
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+
+  auto running = session.submit_view(eval_span());  // the only slot, running
+  api::SubmitOptions loose;
+  loose.deadline = std::chrono::steady_clock::now() + 20s;
+  EXPECT_THROW(session.submit_view(eval_span(), loose), Overloaded);
+
+  EXPECT_EQ(running.get(), *offline_);
+  session.drain();
+  const auto& m = session.metrics();
+  EXPECT_EQ(m.shed->value(), 0u);
+  EXPECT_EQ(m.rejected->value(), 1u);
+  EXPECT_EQ(accepted(session), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -551,23 +637,26 @@ TEST_F(FaultsSuite, CounterIdentitiesHoldUnderMixedChaos) {
   spec.action = runtime::FaultSpec::Action::kThrow;
   spec.skip = 2;
   spec.times = 4;
-  injector.arm("service.job", spec);
+  injector.arm(kJobSite, spec);
 
   obs::Registry registry;
-  runtime::ServiceConfig cfg;
+  api::EngineConfig cfg;
   cfg.workers = 2;
   cfg.max_queue_depth = 4;
-  cfg.admission = runtime::AdmissionPolicy::kRejectWhenFull;
+  cfg.admission = api::AdmissionPolicy::kRejectWhenFull;
   cfg.registry = &registry;
-  runtime::LocatorService service(*locator_, cfg);
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
 
+  constexpr std::size_t kRequests = 24;
   std::size_t ok = 0, injected_seen = 0, overloaded = 0, deadline = 0;
   std::vector<std::future<std::vector<std::size_t>>> futures;
-  for (int i = 0; i < 24; ++i) {
-    runtime::SubmitOptions options;
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    api::SubmitOptions options;
     if (i % 5 == 0) options.timeout = 1us;  // some of these will expire
     try {
-      futures.push_back(service.submit_view(eval_span(), nullptr, options));
+      futures.push_back(session.submit_view(eval_span(), options));
     } catch (const Overloaded&) {
       ++overloaded;
     }
@@ -582,21 +671,25 @@ TEST_F(FaultsSuite, CounterIdentitiesHoldUnderMixedChaos) {
       ++deadline;
     }
   }
-  service.drain();
+  session.drain();
 
   // No untyped escapes: every submit's fate is one of the four buckets.
+  const auto& m = session.metrics();
   EXPECT_EQ(ok + injected_seen + deadline, futures.size());
-  EXPECT_EQ(injected_seen, injector.injected("service.job"));
-  EXPECT_EQ(service.jobs_completed(), service.jobs_submitted());
+  EXPECT_EQ(injected_seen, injector.injected(kJobSite));
+  EXPECT_EQ(m.completed->value(), accepted(session));
   // Rejections = synchronous Overloaded throws + any timeout that expired
   // at submit itself (counted rejected, surfaced through the future).
-  EXPECT_GE(service.jobs_rejected(), overloaded);
-  EXPECT_EQ(registry.counter("service.requests").value(),
-            service.jobs_submitted() + service.jobs_rejected());
-  EXPECT_EQ(registry.counter("service.completed").value(),
-            service.jobs_completed());
-  EXPECT_EQ(registry.gauge("service.queue_depth").value(), 0);
-  EXPECT_GE(service.jobs_deadline_exceeded(), deadline);
+  EXPECT_GE(m.rejected->value(), overloaded);
+  // The caller's registry holds the model's instruments: every submit call
+  // is one request, accepted or rejected.
+  EXPECT_EQ(registry.counter("engine.camellia.requests").value(), kRequests);
+  EXPECT_EQ(registry.counter("engine.camellia.requests").value(),
+            accepted(session) + m.rejected->value());
+  EXPECT_EQ(registry.counter("engine.camellia.completed").value(),
+            m.completed->value());
+  EXPECT_EQ(registry.gauge("engine.camellia.queue_depth").value(), 0);
+  EXPECT_GE(m.deadline_exceeded->value(), deadline);
 }
 
 }  // namespace

@@ -163,10 +163,24 @@ TEST(ObsHistogram, SmallValuesAreExact) {
   EXPECT_EQ(s.max, 9u);
   EXPECT_EQ(s.quantile(0.0), 1.0);
   EXPECT_EQ(s.quantile(1.0), 9.0);
-  // Rank of q=0.5 over 8 samples {1,1,2,3,4,5,6,9}: index 3 (0-based
-  // floor of 0.5 * 7) lands in the bucket holding 3..4; midpoints are the
-  // values themselves in the unit range.
+  // q=0.5 over 8 samples {1,1,2,3,4,5,6,9} sits at position 0.5 * 7 = 3.5,
+  // between 3 and 4; midpoints are the values themselves in the unit range.
   EXPECT_NEAR(s.quantile(0.5), 4.0, 1.0);
+}
+
+TEST(ObsHistogram, QuantileInterpolatesLikePercentileSorted) {
+  // Few samples, all in exact unit buckets: every quantile must equal the
+  // sorted-vector answer, fractional ranks interpolated. With two samples,
+  // p99 sits next to the larger one, not at the smaller.
+  for (const std::vector<double>& samples :
+       {std::vector<double>{3, 9}, std::vector<double>{2, 5, 7, 11}}) {
+    obs::Histogram h;
+    for (const double v : samples) h.record(static_cast<std::uint64_t>(v));
+    const auto s = h.snapshot();
+    for (const double q : {0.1, 0.25, 0.5, 0.9, 0.99})
+      EXPECT_DOUBLE_EQ(s.quantile(q), obs::percentile_sorted(samples, q))
+          << "q = " << q;
+  }
 }
 
 TEST(ObsHistogram, QuantilesMatchSortedOracleWithinBucketResolution) {

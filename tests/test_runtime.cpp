@@ -1,7 +1,7 @@
 // Runtime subsystem tests: SampleRing / ThreadPool units, streaming-vs-
-// offline parity across chunk sizes (including chunk < window), and a
-// LocatorService smoke test running many concurrent jobs against one
-// shared model.
+// offline parity across chunk sizes (including chunk < window), and an
+// api::Engine smoke test running many concurrent jobs against one shared
+// model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,10 +18,10 @@
 #include <thread>
 #include <vector>
 
+#include "api/engine.hpp"
 #include "common/rng.hpp"
 #include "core/locator.hpp"
 #include "obs/registry.hpp"
-#include "runtime/locator_service.hpp"
 #include "runtime/ring_buffer.hpp"
 #include "runtime/streaming_locator.hpp"
 #include "runtime/thread_pool.hpp"
@@ -482,41 +482,52 @@ TEST_F(RuntimeLocator, ResetAllowsReuse) {
 }
 
 // ---------------------------------------------------------------------------
-// LocatorService
+// Whole-trace jobs through api::Engine
 // ---------------------------------------------------------------------------
 
+/// Accepted jobs of a session's model: every request not refused at
+/// admission.
+std::uint64_t accepted(const api::Session& session) {
+  const auto& m = session.metrics();
+  return m.requests->value() - m.rejected->value();
+}
+
 TEST_F(RuntimeLocator, ServiceRunsConcurrentJobsAgainstSharedModel) {
-  runtime::LocatorService service(*locator_, {.workers = 4});
-  EXPECT_EQ(service.worker_count(), 4u);
+  api::Engine engine({.workers = 4});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  EXPECT_EQ(engine.worker_count(), 4u);
 
   constexpr std::size_t kJobs = 10;
   std::vector<std::future<std::vector<std::size_t>>> futures;
   futures.reserve(kJobs);
   for (std::size_t j = 0; j < kJobs; ++j)
-    futures.push_back(service.submit_view(eval_->samples));
+    futures.push_back(session.submit_view(eval_->samples));
 
   for (auto& f : futures) EXPECT_EQ(f.get(), *offline_);
   // Futures resolve before the worker-side accounting lands; drain() waits
   // for the books (same convention as every other counter check here).
-  service.drain();
-  EXPECT_EQ(service.jobs_submitted(), kJobs);
-  EXPECT_EQ(service.jobs_completed(), kJobs);
+  session.drain();
+  EXPECT_EQ(accepted(session), kJobs);
+  EXPECT_EQ(session.metrics().completed->value(), kJobs);
 }
 
 TEST_F(RuntimeLocator, ServiceHandlesMixedAndEmptyTraces) {
-  runtime::LocatorService service(*locator_, {.workers = 3});
-  auto empty = service.submit(std::vector<float>{});
-  auto shorter = service.submit(std::vector<float>(
+  api::Engine engine({.workers = 3});
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
+  auto empty = session.submit(std::vector<float>{});
+  auto shorter = session.submit(std::vector<float>(
       eval_->samples.begin(), eval_->samples.begin() + 50000));
-  auto full = service.submit(std::vector<float>(eval_->samples));
+  auto full = session.submit(std::vector<float>(eval_->samples));
 
   EXPECT_TRUE(empty.get().empty());
   const auto expect_short = locator_->locate(
       std::span<const float>(eval_->samples.data(), 50000));
   EXPECT_EQ(shorter.get(), expect_short);
   EXPECT_EQ(full.get(), *offline_);
-  service.drain();
-  EXPECT_EQ(service.jobs_completed(), 3u);
+  session.drain();
+  EXPECT_EQ(session.metrics().completed->value(), 3u);
 }
 
 TEST_F(RuntimeLocator, DrainRacingSubmitNeverDeadlocksAndResolvesEveryFuture) {
@@ -524,31 +535,33 @@ TEST_F(RuntimeLocator, DrainRacingSubmitNeverDeadlocksAndResolvesEveryFuture) {
   // jobs (half of them cancelled immediately). The contract under the race:
   // no deadlock, every future resolves — with the right result or with a
   // typed error — and the accounting converges.
-  runtime::ServiceConfig cfg;
+  api::EngineConfig cfg;
   cfg.workers = 2;
   cfg.max_queue_depth = 4;  // small: drain and backpressure really contend
-  runtime::LocatorService service(*locator_, cfg);
+  api::Engine engine(cfg);
+  engine.attach_model(*locator_);
+  auto session = engine.open_session();
 
   const auto slice = std::span<const float>(eval_->samples).subspan(0, 4096);
   const auto expected = locator_->locate(slice);
 
   constexpr std::size_t kJobs = 60;
   std::vector<std::future<std::vector<std::size_t>>> futures(kJobs);
-  std::vector<runtime::LocatorService::CancelFlag> flags(kJobs);
+  std::vector<std::shared_ptr<std::atomic<bool>>> flags(kJobs);
   std::atomic<std::size_t> produced{0};
   std::thread submitter([&] {
     for (std::size_t i = 0; i < kJobs; ++i) {
       flags[i] = std::make_shared<std::atomic<bool>>(false);
-      futures[i] = service.submit_view(slice, flags[i]);
+      futures[i] = session.submit_view(slice, {.cancel = flags[i]});
       if (i % 2 == 1) flags[i]->store(true);  // orphan every other job
       produced.store(i + 1);
     }
   });
 
   // Race drain() against the live submitter from this thread.
-  while (produced.load() < kJobs) service.drain();
+  while (produced.load() < kJobs) session.drain();
   submitter.join();
-  service.drain();
+  session.drain();
 
   std::size_t ok = 0, cancelled = 0;
   for (auto& f : futures) {
@@ -560,8 +573,8 @@ TEST_F(RuntimeLocator, DrainRacingSubmitNeverDeadlocksAndResolvesEveryFuture) {
     }
   }
   EXPECT_EQ(ok + cancelled, kJobs);
-  EXPECT_EQ(service.jobs_completed(), service.jobs_submitted());
-  EXPECT_EQ(service.jobs_completed(), kJobs);
+  EXPECT_EQ(session.metrics().completed->value(), accepted(session));
+  EXPECT_EQ(session.metrics().completed->value(), kJobs);
 }
 
 }  // namespace

@@ -96,30 +96,6 @@ TEST(Signal, StandardizeConstantIsZeros) {
   for (float v : out) EXPECT_FLOAT_EQ(v, 0.f);
 }
 
-TEST(Signal, MinMaxNormalize) {
-  const std::vector<float> xs = {2.f, 4.f, 6.f};
-  const auto out = min_max_normalize(xs);
-  EXPECT_FLOAT_EQ(out[0], 0.f);
-  EXPECT_FLOAT_EQ(out[1], 0.5f);
-  EXPECT_FLOAT_EQ(out[2], 1.f);
-}
-
-TEST(Signal, CrossCorrelateManual) {
-  const std::vector<float> sig = {1.f, 2.f, 3.f, 4.f};
-  const std::vector<float> ker = {1.f, 1.f};
-  const auto out = cross_correlate(sig, ker);
-  EXPECT_EQ(out.size(), 3u);
-  EXPECT_FLOAT_EQ(out[0], 3.f);
-  EXPECT_FLOAT_EQ(out[1], 5.f);
-  EXPECT_FLOAT_EQ(out[2], 7.f);
-}
-
-TEST(Signal, CrossCorrelateKernelTooLongThrows) {
-  const std::vector<float> sig = {1.f};
-  const std::vector<float> ker = {1.f, 1.f};
-  EXPECT_THROW(cross_correlate(sig, ker), InvalidArgument);
-}
-
 TEST(Signal, NormalizedCrossCorrelationPeaksAtEmbedding) {
   Rng rng(7);
   std::vector<float> kernel(32);
@@ -165,19 +141,6 @@ TEST(Signal, Absolute) {
   const std::vector<float> xs = {-1.f, 2.f, -3.f};
   const auto out = absolute(xs);
   EXPECT_EQ(out, (std::vector<float>{1.f, 2.f, 3.f}));
-}
-
-TEST(Signal, DecimateAverages) {
-  const std::vector<float> xs = {1.f, 3.f, 5.f, 7.f, 9.f};
-  const auto out = decimate(xs, 2);
-  EXPECT_EQ(out.size(), 2u);  // trailing partial block dropped
-  EXPECT_FLOAT_EQ(out[0], 2.f);
-  EXPECT_FLOAT_EQ(out[1], 6.f);
-}
-
-TEST(Signal, DecimateFactor1Copies) {
-  const std::vector<float> xs = {1.f, 2.f};
-  EXPECT_EQ(decimate(xs, 1), xs);
 }
 
 }  // namespace

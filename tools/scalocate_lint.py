@@ -53,9 +53,9 @@ MEMORY_ORDER_ALLOWLIST = {
                                    "hot-path probe; relaxed reads, "
                                    "release publication",
     "src/runtime/thread_pool.": "pool stop/quiesce flags polled by workers",
-    "src/runtime/locator_service.cpp": "job cancel/deadline flags and "
-                                       "queue-depth watermark polled by "
-                                       "workers without the queue mutex",
+    "src/api/engine.cpp": "job cancel/deadline flags and queue-depth "
+                          "watermark polled by workers without the queue "
+                          "mutex",
     "src/nn/kernels/parallel.cpp": "intra-op work distribution: chunk "
                                    "counter fetch_add and completion "
                                    "latch (audited in the parallel-GEMM "

@@ -91,7 +91,7 @@ void BM_GemmNaive(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNaive)->Args({32, 192, 1024})->Args({256, 256, 256});
 
-// --- Conv1d forward: im2col+GEMM layer vs preserved naive reference --------
+// --- Conv1d forward: direct-conv layer vs preserved naive reference --------
 // Paper-size model convolutions (K = 64, Ninf = 192, channels 1->16->32).
 
 struct PaperConv {
@@ -122,17 +122,15 @@ BENCHMARK(BM_Conv1dForwardPaper)->DenseRange(0, 3);
 void BM_Conv1dForwardNaivePaper(benchmark::State& state) {
   const PaperConv pc = kPaperConvs[state.range(0)];
   const std::size_t kernel = 64, n = 192, batch = 64;
-  nn::Conv1d conv(pc.cin, pc.cout, kernel);  // same padding resolution
+  nn::Conv1d conv(pc.cin, pc.cout, kernel);
   Rng rng(1);
   nn::he_normal_init(conv.weight().value, rng);
   const auto x = random_tensor({batch, pc.cin, n}, 2);
-  const std::size_t out_len = conv.output_length(n);
-  std::vector<float> out(batch * pc.cout * out_len);
+  std::vector<float> out(batch * pc.cout * n);
   for (auto _ : state) {
     nn::kernels::conv1d_forward_naive(
         x.data(), batch, pc.cin, n, conv.weight().value.data(),
-        conv.bias().value.data(), pc.cout, kernel, 1, conv.pad_left(), out_len,
-        out.data());
+        conv.bias().value.data(), pc.cout, kernel, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   const double flops = 2.0 * static_cast<double>(batch) *
@@ -168,8 +166,7 @@ void BM_Conv1dForwardPaperStack(benchmark::State& state) {
              static_cast<double>(pc.cout) * static_cast<double>(n) *
              static_cast<double>(pc.cin) * static_cast<double>(kernel);
   }
-  const std::size_t out_len = convs[0]->output_length(n);
-  std::vector<float> out(batch * 32 * out_len);
+  std::vector<float> out(batch * 32 * n);
   for (auto _ : state) {
     for (std::size_t i = 0; i < 4; ++i) {
       for (std::size_t rep = 0; rep < mult[i]; ++rep) {
@@ -179,8 +176,7 @@ void BM_Conv1dForwardPaperStack(benchmark::State& state) {
           const PaperConv pc = kPaperConvs[i];
           nn::kernels::conv1d_forward_naive(
               xs[i].data(), batch, pc.cin, n, convs[i]->weight().value.data(),
-              convs[i]->bias().value.data(), pc.cout, kernel, 1,
-              convs[i]->pad_left(), out_len, out.data());
+              convs[i]->bias().value.data(), pc.cout, kernel, out.data());
           benchmark::DoNotOptimize(out.data());
         }
       }

@@ -141,10 +141,4 @@ std::vector<std::size_t> find_peaks(std::span<const float> xs, float min_height,
   return kept;
 }
 
-std::vector<float> absolute(std::span<const float> xs) {
-  std::vector<float> out(xs.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) out[i] = std::fabs(xs[i]);
-  return out;
-}
-
 }  // namespace scalocate::signal

@@ -48,7 +48,4 @@ std::vector<std::size_t> find_peaks(std::span<const float> xs,
                                     float min_height,
                                     std::size_t min_distance);
 
-/// Absolute of each element.
-std::vector<float> absolute(std::span<const float> xs);
-
 }  // namespace scalocate::signal

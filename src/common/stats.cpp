@@ -90,12 +90,6 @@ float max_value(std::span<const float> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-std::size_t argmax(std::span<const float> xs) {
-  detail::require(!xs.empty(), "stats::argmax: empty input");
-  return static_cast<std::size_t>(
-      std::distance(xs.begin(), std::max_element(xs.begin(), xs.end())));
-}
-
 void RunningMoments::add(double x) {
   ++n_;
   const double delta = x - mean_;

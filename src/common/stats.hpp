@@ -34,9 +34,6 @@ double percentile(std::span<const float> xs, double p);
 float min_value(std::span<const float> xs);
 float max_value(std::span<const float> xs);
 
-/// Index of the maximum element (first occurrence). Input must be non-empty.
-std::size_t argmax(std::span<const float> xs);
-
 /// Online mean/variance accumulator (Welford). Numerically stable for the
 /// long accumulations done by the incremental CPA engine.
 class RunningMoments {

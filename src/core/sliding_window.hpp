@@ -33,9 +33,6 @@ struct SlidingWindowResult {
   std::vector<float> scores;  ///< swc: one linear class-1 score per window
   std::size_t stride = 1;     ///< sample distance between window starts
   std::size_t window = 0;     ///< Ninf
-
-  /// Sample position of window i.
-  std::size_t window_start(std::size_t i) const { return i * stride; }
 };
 
 class SlidingWindowClassifier {

@@ -1,8 +1,6 @@
 #include "crypto/cipher.hpp"
 
-#include <algorithm>
 #include <array>
-#include <cctype>
 
 #include "common/error.hpp"
 #include "crypto/aes128.hpp"
@@ -51,23 +49,6 @@ std::unique_ptr<BlockCipher> make_cipher(CipherId id, std::uint64_t mask_seed) {
       return std::make_unique<Simon128>();
   }
   throw InvalidArgument("make_cipher: unknown id");
-}
-
-CipherId parse_cipher_id(const std::string& text) {
-  std::string lower(text.size(), '\0');
-  std::transform(text.begin(), text.end(), lower.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (lower == "aes" || lower == "aes-128" || lower == "aes128")
-    return CipherId::kAes128;
-  if (lower == "aes-mask" || lower == "aes_mask" || lower == "aes mask" ||
-      lower == "masked-aes")
-    return CipherId::kAesMasked;
-  if (lower == "clefia" || lower == "clefia-128") return CipherId::kClefia128;
-  if (lower == "camellia" || lower == "camellia-128")
-    return CipherId::kCamellia128;
-  if (lower == "simon" || lower == "simon-128" || lower == "simon128")
-    return CipherId::kSimon128;
-  throw InvalidArgument("parse_cipher_id: unknown cipher '" + text + "'");
 }
 
 }  // namespace scalocate::crypto

@@ -71,8 +71,4 @@ std::string cipher_display_name(CipherId id);
 std::unique_ptr<BlockCipher> make_cipher(CipherId id,
                                          std::uint64_t mask_seed = 1);
 
-/// Parses "aes", "aes-mask", "clefia", "camellia", "simon" (case
-/// insensitive); throws InvalidArgument otherwise.
-CipherId parse_cipher_id(const std::string& text);
-
 }  // namespace scalocate::crypto

@@ -54,11 +54,6 @@ class Tracer {
     if (sink_ != nullptr) sink_->on_event(DataEvent{op, value, width});
   }
 
-  /// Emits `count` NOP events (used to mark the acquisition NOP sled).
-  void nops(std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) emit(OpClass::kNop, 0, 8);
-  }
-
   bool active() const { return sink_ != nullptr; }
 
  private:

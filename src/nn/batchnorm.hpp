@@ -38,8 +38,6 @@ class BatchNorm1d final : public Layer {
 
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
-  std::span<const float> running_mean() const { return running_mean_; }
-  std::span<const float> running_var() const { return running_var_; }
 
  private:
   std::size_t channels_;

@@ -10,35 +10,21 @@
 namespace scalocate::nn {
 
 Conv1d::Conv1d(std::size_t in_channels, std::size_t out_channels,
-               std::size_t kernel_size, std::size_t stride, int pad)
+               std::size_t kernel_size)
     : in_channels_(in_channels),
       out_channels_(out_channels),
       kernel_size_(kernel_size),
-      stride_(stride),
-      pad_left_(pad >= 0 ? static_cast<std::size_t>(pad) : (kernel_size - 1) / 2),
-      pad_right_(pad >= 0 ? static_cast<std::size_t>(pad)
-                          : kernel_size - 1 - (kernel_size - 1) / 2),
       weight_({out_channels, in_channels, kernel_size}, "conv.weight"),
       bias_({out_channels}, "conv.bias") {
-  detail::require(in_channels >= 1 && out_channels >= 1 && kernel_size >= 1 &&
-                      stride >= 1,
+  detail::require(in_channels >= 1 && out_channels >= 1 && kernel_size >= 1,
                   "Conv1d: invalid configuration");
 }
 
 std::size_t Conv1d::output_length(std::size_t n) const {
-  // Default padding is asymmetric "same": pad_left = (K-1)/2 on the left and
-  // the remainder of (K-1) on the right, so stride-1 convolutions preserve
-  // length even for even kernels (the paper's K = 64).
   // Checked without detail::require: its std::string message would
   // allocate on every call of the allocation-free eval step.
-  if (n + pad_left_ + pad_right_ < kernel_size_)
-    throw InvalidArgument("Conv1d: input too short");
-  return kernels::conv_output_length(n, kernel_size_, stride_, pad_left_,
-                                     pad_right_);
-}
-
-bool Conv1d::is_pointwise() const {
-  return kernel_size_ == 1 && stride_ == 1 && pad_left_ == 0 && pad_right_ == 0;
+  if (n == 0) throw InvalidArgument("Conv1d: empty temporal axis");
+  return n;
 }
 
 Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
@@ -55,14 +41,11 @@ Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
   const std::size_t out_len = output_length(n);
 
   Tensor out({batch, out_channels_, out_len});
-  // Stride 1 (every conv of the paper model) runs the pack-free direct
-  // conv: accumulators in registers, input read in place, bias as the
-  // accumulator's seed. Strided convs run one fused im2col+GEMM+bias over
-  // the whole batch. Either way, a single pass over the output.
-  kernels::sgemm_conv(out_channels_, out_len, batch, weight_.value.data(),
+  // The pack-free direct conv: accumulators in registers, input read in
+  // place, bias as the accumulator's seed, a single pass over the output.
+  kernels::sgemm_conv(out_channels_, batch, weight_.value.data(),
                       bias_.value.data(), input.data(), in_channels_, n,
-                      kernel_size_, stride_, pad_left_, out.data(),
-                      ws.kernels().gemm);
+                      kernel_size_, out.data(), ws.kernels().gemm);
   return out;
 }
 
@@ -81,10 +64,9 @@ Item Conv1d::eval_item(const Item& in, EvalLane& lane,
   float* y = lane.push(out_channels_ * out_len);
   // forward's kernel call at batch 1: outside a parallel region it still
   // splits the output channels across the intra-op budget.
-  kernels::sgemm_conv(out_channels_, out_len, 1, weight_.value.data(),
+  kernels::sgemm_conv(out_channels_, 1, weight_.value.data(),
                       bias_.value.data(), in.data, in_channels_, n,
-                      kernel_size_, stride_, pad_left_, y, lane.gemm(),
-                      epilogue);
+                      kernel_size_, y, lane.gemm(), epilogue);
   Item out = in.with_data(y);
   out.dims = {out_channels_, out_len};
   return out;
@@ -107,7 +89,8 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
   KernelScratch& ks = ws.kernels();
   const float* w = weight_.value.data();
   float* gw = weight_.grad.data();
-  const bool pointwise = is_pointwise();
+  // A 1x1 conv skips im2col: the input already is the column matrix.
+  const bool pointwise = kernel_size_ == 1;
   if (!pointwise) {
     ks.col_a.resize(ck * out_len);
     ks.col_b.resize(ck * out_len);
@@ -125,8 +108,7 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
     // batch item across the whole forward pass.
     const float* col = xb;
     if (!pointwise) {
-      kernels::im2col(xb, in_channels_, n, kernel_size_, stride_, pad_left_,
-                      out_len, ks.col_a.data());
+      kernels::im2col(xb, in_channels_, n, kernel_size_, ks.col_a.data());
       col = ks.col_a.data();
     }
     // dW += dY [Cout, out_len] x col^T [out_len, Cin*K]
@@ -140,8 +122,7 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
     } else {
       kernels::sgemm(true, false, ck, out_len, out_channels_, 1.0f, w, ck, gob,
                      out_len, 0.0f, ks.col_b.data(), out_len, ks.gemm);
-      kernels::col2im(ks.col_b.data(), in_channels_, n, kernel_size_, stride_,
-                      pad_left_, out_len, gxb);
+      kernels::col2im(ks.col_b.data(), in_channels_, n, kernel_size_, gxb);
     }
   }
   return grad_input;
@@ -150,7 +131,7 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
 std::string Conv1d::name() const {
   std::ostringstream os;
   os << "Conv1d(" << in_channels_ << "->" << out_channels_
-     << ", k=" << kernel_size_ << ", s=" << stride_ << ", p=" << pad_left_ << "/" << pad_right_ << ")";
+     << ", k=" << kernel_size_ << ")";
   return os.str();
 }
 

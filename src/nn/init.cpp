@@ -21,15 +21,6 @@ void he_normal_init(Tensor& weight, Rng& rng) {
     w = static_cast<float>(rng.normal(0.0, stddev));
 }
 
-void xavier_uniform_init(Tensor& weight, Rng& rng) {
-  const std::size_t fan_in = fan_in_of(weight);
-  const std::size_t fan_out = weight.dim(0);
-  const double limit =
-      std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
-  for (float& w : weight.flat())
-    w = static_cast<float>(rng.uniform(-limit, limit));
-}
-
 void init_module(Layer& module, Rng& rng) {
   for (Param* p : module.params()) {
     if (p->name.rfind("bn.", 0) == 0) continue;  // keep BN gamma=1, beta=0

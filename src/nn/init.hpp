@@ -1,4 +1,4 @@
-// Weight initialization (He/Kaiming for ReLU networks, Xavier/Glorot).
+// Weight initialization (He/Kaiming for ReLU networks).
 #pragma once
 
 #include "common/rng.hpp"
@@ -9,9 +9,6 @@ namespace scalocate::nn {
 /// He-normal initialization of a conv/linear weight tensor: the fan-in is
 /// inferred from the shape ([Cout, Cin, K] -> Cin*K, [Fout, Fin] -> Fin).
 void he_normal_init(Tensor& weight, Rng& rng);
-
-/// Xavier-uniform initialization.
-void xavier_uniform_init(Tensor& weight, Rng& rng);
 
 /// Initializes every parameter of a module: He-normal for weights with
 /// rank >= 2, zeros for rank-1 biases (batch-norm gamma/beta keep their

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/tiles.hpp"
 
@@ -87,19 +86,17 @@ void sgemm_avx512(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t k, float alpha, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, float beta, float* c,
                   std::size_t ldc, GemmScratch& scratch);
-void sgemm_conv_avx512(std::size_t cout, std::size_t out_len, std::size_t batch,
-                       const float* w, const float* bias, const float* x,
-                       std::size_t cin, std::size_t n, std::size_t kernel,
-                       std::size_t stride, std::size_t pad_left, float* out,
+void sgemm_conv_avx512(std::size_t cout, std::size_t batch, const float* w,
+                       const float* bias, const float* x, std::size_t cin,
+                       std::size_t n, std::size_t kernel, float* out,
                        GemmScratch& scratch, const ConvEpilogue* epilogue);
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float beta, float* c,
                 std::size_t ldc, GemmScratch& scratch);
-void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
-                     const float* w, const float* bias, const float* x,
-                     std::size_t cin, std::size_t n, std::size_t kernel,
-                     std::size_t stride, std::size_t pad_left, float* out,
+void sgemm_conv_avx2(std::size_t cout, std::size_t batch, const float* w,
+                     const float* bias, const float* x, std::size_t cin,
+                     std::size_t n, std::size_t kernel, float* out,
                      GemmScratch& scratch, const ConvEpilogue* epilogue);
 #endif
 
@@ -129,8 +126,7 @@ constexpr Tile kTiles[] = {
     {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2, kAvx2ConvBlock},
 #endif
     {"portable", any_cpu, portable::sgemm_blocked<4, 8>,
-     portable::sgemm_conv_blocked<4, 8, kPortableConvBlock.rows,
-                                  kPortableConvBlock.vectors>,
+     portable::conv_direct<kPortableConvBlock.rows, kPortableConvBlock.vectors>,
      kPortableConvBlock},
 };
 
@@ -242,35 +238,31 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            scratch);
 }
 
-void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
-                const float* w, const float* bias, const float* x,
-                std::size_t cin, std::size_t n, std::size_t kernel,
-                std::size_t stride, std::size_t pad_left, float* out,
+void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
+                const float* bias, const float* x, std::size_t cin,
+                std::size_t n, std::size_t kernel, float* out,
                 GemmScratch& scratch, const ConvEpilogue* epilogue) {
-  if (epilogue != nullptr && stride != 1)
-    throw InvalidArgument("sgemm_conv: an epilogue needs stride 1");
-  if (cout == 0 || out_len == 0 || batch == 0) return;
+  if (cout == 0 || n == 0 || batch == 0) return;
 #if defined(SCALOCATE_PROFILE)
   static obs::Counter& calls = profile_counter("kernels.conv.calls");
   static obs::Counter& flops = profile_counter("kernels.conv.flops");
   calls.add();
-  flops.add(2ull * batch * cout * out_len * cin * kernel);
-  obs::SpanTimer span(shape_histogram("conv", cout, out_len, cin * kernel));
+  flops.add(2ull * batch * cout * n * cin * kernel);
+  obs::SpanTimer span(shape_histogram("conv", cout, n, cin * kernel));
 #endif
   const detail::Tile& tile = detail::dispatched_tile();
   const detail::ConvEntry sgemm_conv_st = tile.conv;
   const std::size_t budget = intra_op_threads();
   if (budget > 1 && !in_parallel_region() &&
-      2ull * batch * cout * out_len * cin * kernel >= parallel_min_flops()) {
+      2ull * batch * cout * n * cin * kernel >= parallel_min_flops()) {
     // Batch items are fully independent outputs: the natural partition for
     // minibatch training and batched window scoring.
     if (batch > 1) {
       const std::size_t chunks = std::min(budget, batch);
       parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
         const auto [b0, len] = chunk_range(batch, chunks, ci);
-        sgemm_conv_st(cout, out_len, len, w, bias, x + b0 * cin * n, cin, n,
-                      kernel, stride, pad_left, out + b0 * cout * out_len, ls,
-                      epilogue);
+        sgemm_conv_st(cout, len, w, bias, x + b0 * cin * n, cin, n, kernel,
+                      out + b0 * cout * n, ls, epilogue);
       });
       return;
     }
@@ -291,16 +283,16 @@ void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
         if (epilogue != nullptr)
           slice = {epilogue->mean + c0, epilogue->inv_std + c0,
                    epilogue->gamma + c0, epilogue->beta + c0, epilogue->relu};
-        sgemm_conv_st(len, out_len, batch, w + c0 * cin * kernel,
+        sgemm_conv_st(len, batch, w + c0 * cin * kernel,
                       bias != nullptr ? bias + c0 : nullptr, x, cin, n,
-                      kernel, stride, pad_left, out + c0 * out_len, ls,
+                      kernel, out + c0 * n, ls,
                       epilogue != nullptr ? &slice : nullptr);
       });
       return;
     }
   }
-  sgemm_conv_st(cout, out_len, batch, w, bias, x, cin, n, kernel, stride,
-                pad_left, out, scratch, epilogue);
+  sgemm_conv_st(cout, batch, w, bias, x, cin, n, kernel, out, scratch,
+                epilogue);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,

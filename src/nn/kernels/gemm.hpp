@@ -2,18 +2,18 @@
 //
 // Every dense layer routes its matrix products through sgemm(): Linear's
 // forward and backward, and Conv1d's backward (via im2col); Conv1d's
-// forward runs sgemm_conv(). The implementation is a classic three-level
-// blocking (GotoBLAS structure): B is packed into NR-wide column panels
-// and A into MR-wide row panels sized for the L1/L2 caches, and an
-// MR x NR register-tiled micro-kernel accumulates the product, so the
-// inner loop does O(MR*NR) arithmetic per O(MR+NR) loads instead of the
-// 1:1 ratio of a naive loop.
+// forward runs sgemm_conv(), a direct convolution. sgemm() is a classic
+// three-level blocking (GotoBLAS structure): B is packed into NR-wide
+// column panels and A into MR-wide row panels sized for the L1/L2 caches,
+// and an MR x NR register-tiled micro-kernel accumulates the product, so
+// the inner loop does O(MR*NR) arithmetic per O(MR+NR) loads instead of
+// the 1:1 ratio of a naive loop.
 //
 // Both entry points run the widest kernel tile the CPU supports
 // (tiles.hpp: AVX-512, AVX2 or portable). The AVX-512 and AVX2 tiles give
 // bit-identical results; the portable tile (no FMA) does not.
-// Stride-1 convs can also apply a conv block's BatchNorm and ReLU to
-// their accumulators (ConvEpilogue), bitwise equal to the separate passes.
+// Convs can also apply a conv block's BatchNorm and ReLU to their
+// accumulators (ConvEpilogue), bitwise equal to the separate passes.
 //
 // sgemm_naive() is the reference kernel: a plain triple loop with
 // double-precision accumulation, kept (and unit-tested against) so the
@@ -81,7 +81,7 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t ldc, GemmScratch& scratch);
 
 /// Eval-mode BatchNorm, and optionally ReLU, applied per output channel
-/// to a stride-1 conv's accumulators before they are stored (the paper's
+/// to a conv's accumulators before they are stored (the paper's
 /// conv block in one kernel call). Each array holds one value per output
 /// channel. For a conv result a the stored value is
 ///   h = (a - mean) * inv_std;  y = gamma * h + beta;  y = y > 0 ? y : 0
@@ -96,20 +96,23 @@ struct ConvEpilogue {
   bool relu;
 };
 
-/// Fused batched convolution forward:
-/// out[b] = W * im2col(x[b]) + bias for x [batch, cin, n] and
-/// out [batch, cout, out_len]. Stride 1 runs the pack-free direct conv:
-/// each tile of outputs accumulates in registers while reading x in place,
-/// starting from the bias, and a non-null `epilogue` is applied to the
-/// tile before it is stored. Other strides run as a single blocked GEMM
-/// whose column matrix is virtual (the packing stage reads x directly)
-/// and whose bias rides the first-panel write-back; they take no epilogue
-/// (InvalidArgument). Either way the output is written in one pass.
-/// `bias` may be null. out_len must equal conv_output_length(...).
-void sgemm_conv(std::size_t cout, std::size_t out_len, std::size_t batch,
-                const float* w, const float* bias, const float* x,
-                std::size_t cin, std::size_t n, std::size_t kernel,
-                std::size_t stride, std::size_t pad_left, float* out,
+/// Left zero padding of the stride-1 "same" convolution of sgemm_conv and
+/// im2col: the right padding is the rest of kernel - 1, so the output has
+/// the input's length. Internal linkage, like load_any in gemm_blocked.hpp:
+/// the ISA-specific tile TUs must not share a weak copy with baseline code.
+static constexpr std::size_t conv_pad_left(std::size_t kernel) {
+  return (kernel - 1) / 2;
+}
+
+/// Batched convolution forward, stride 1 with "same" zero padding
+/// (conv_pad_left), so x [batch, cin, n] gives out [batch, cout, n] with
+/// out[b] = W * im2col(x[b]) + bias. A pack-free direct conv: each tile of
+/// outputs accumulates in registers while reading x in place, starting
+/// from the bias, and a non-null `epilogue` is applied to the tile before
+/// it is stored, so the output is written in one pass. `bias` may be null.
+void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
+                const float* bias, const float* x, std::size_t cin,
+                std::size_t n, std::size_t kernel, float* out,
                 GemmScratch& scratch,
                 const ConvEpilogue* epilogue = nullptr);
 

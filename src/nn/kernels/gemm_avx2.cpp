@@ -49,14 +49,12 @@ void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
   _mm256_zeroupper();
 }
 
-void sgemm_conv_avx2(std::size_t cout, std::size_t out_len, std::size_t batch,
-                     const float* w, const float* bias, const float* x,
-                     std::size_t cin, std::size_t n, std::size_t kernel,
-                     std::size_t stride, std::size_t pad_left, float* out,
+void sgemm_conv_avx2(std::size_t cout, std::size_t batch, const float* w,
+                     const float* bias, const float* x, std::size_t cin,
+                     std::size_t n, std::size_t kernel, float* out,
                      GemmScratch& scratch, const ConvEpilogue* epilogue) {
-  avx2::sgemm_conv_blocked<6, 16, kAvx2ConvBlock.rows, kAvx2ConvBlock.vectors>(
-      cout, out_len, batch, w, bias, x, cin, n, kernel, stride, pad_left, out,
-      scratch, epilogue);
+  avx2::conv_direct<kAvx2ConvBlock.rows, kAvx2ConvBlock.vectors>(
+      cout, batch, w, bias, x, cin, n, kernel, out, scratch, epilogue);
   _mm256_zeroupper();
 }
 

@@ -1,5 +1,5 @@
 // Internal: the cache-blocked GEMM and the direct conv, templated on the
-// register-tile shape, a B-packing policy, and a C-placement policy.
+// register-tile shape.
 //
 // The templates are instantiated in three translation units, each with its
 // own tile and compiler flags:
@@ -27,18 +27,13 @@
 // std:: function templates (std::min is a shared weak symbol in an
 // unoptimized build). tools/check_tile_symbols.py checks the archive.
 //
-// Policies:
-//   - PlainB / PlainCStore: ordinary row-major GEMM.
-//   - Im2colB: a *virtual* batched column matrix — element (p, j) is the
-//     convolution input sample tap p would read for output column j, read
-//     straight from x during packing (im2col is never materialized).
-//   - BatchedConvCStore: scatters GEMM columns j = b*out_len + pos into a
-//     [B, Cout, out_len] output tensor and fuses the bias into the first
-//     k-panel write-back.
-// Together they make a strided conv forward a single GEMM over the whole
-// batch. Stride-1 convs (every conv of the paper model) skip them and run
-// the pack-free conv_direct, which can also apply a conv block's BatchNorm
-// and ReLU before its store (ConvEpilogue).
+// Two kernels:
+//   - sgemm_blocked: the row-major GEMM behind sgemm(), for Linear and the
+//     training backward (conv dW and dX through im2col).
+//   - conv_direct: the pack-free "same"-padded convolution behind
+//     sgemm_conv(), for every conv forward. It reads the input in place and
+//     can apply a conv block's BatchNorm and ReLU before its store
+//     (ConvEpilogue).
 #pragma once
 
 #if !defined(SCALOCATE_TILE_ISA)
@@ -70,8 +65,8 @@ namespace SCALOCATE_TILE_ISA {
 // Cache blocking: the packed A block (MC x KC) stays L2-resident and is
 // re-streamed per B strip; the packed B panel (KC x NC) is sized to sit in
 // L2 as well so the single pass the micro-kernel makes over it stays off
-// DRAM (measured optimum on the batched conv GEMMs). KC also fixes where
-// each element's k-chain restarts, so every tile sums in the same order.
+// DRAM (a measured optimum). KC also fixes where each element's k-chain
+// restarts, so every tile sums in the same order.
 constexpr std::size_t kMC = 132;  // multiple of every MR in use (4 and 6)
 constexpr std::size_t kKC = 256;
 constexpr std::size_t kNC = 512;
@@ -79,10 +74,6 @@ constexpr std::size_t kNC = 512;
 template <class T>
 constexpr T lesser(T a, T b) {
   return b < a ? b : a;
-}
-template <class T>
-constexpr T greater(T a, T b) {
-  return a < b ? b : a;
 }
 
 /// Packs A[ic..ic+mc) x [pc..pc+kc) into MR-row panels, zero-padding the
@@ -101,192 +92,52 @@ void pack_block_a(bool trans, const float* a, std::size_t lda, std::size_t ic,
   }
 }
 
-/// B policy: plain row-major matrix, NR-column panels (zero-padded).
-struct PlainB {
-  bool trans;
-  const float* b;
-  std::size_t ldb;
-
-  template <std::size_t NR>
-  void pack(std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
-            float* dst) const {
-    for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-      const std::size_t nr = lesser(NR, nc - j0);
-      if (!trans && nr == NR) {
-        // Contiguous fast path: rows of B are unit-stride in j.
-        const float* src = b + pc * ldb + jc + j0;
-        for (std::size_t p = 0; p < kc; ++p) {
-          for (std::size_t jr = 0; jr < NR; ++jr) dst[jr] = src[jr];
-          src += ldb;
-          dst += NR;
-        }
-        continue;
-      }
+/// Packs op(B)[pc..pc+kc) x [jc..jc+nc) into NR-column panels,
+/// zero-padding the ragged last panel.
+template <std::size_t NR>
+void pack_block_b(bool trans, const float* b, std::size_t ldb, std::size_t pc,
+                  std::size_t jc, std::size_t kc, std::size_t nc, float* dst) {
+  for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
+    const std::size_t nr = lesser(NR, nc - j0);
+    if (!trans && nr == NR) {
+      // Contiguous fast path: rows of B are unit-stride in j.
+      const float* src = b + pc * ldb + jc + j0;
       for (std::size_t p = 0; p < kc; ++p) {
-        for (std::size_t jr = 0; jr < nr; ++jr)
-          dst[jr] = load_any(trans, b, ldb, pc + p, jc + j0 + jr);
-        for (std::size_t jr = nr; jr < NR; ++jr) dst[jr] = 0.0f;
+        for (std::size_t jr = 0; jr < NR; ++jr) dst[jr] = src[jr];
+        src += ldb;
         dst += NR;
       }
+      continue;
     }
-  }
-};
-
-/// B policy: virtual im2col of a whole conv batch. Row p = ci*kernel + tap;
-/// column j = item*out_len + pos reads x[item][ci][pos*stride + tap - pad].
-struct Im2colB {
-  const float* x;  ///< [batch, cin, n] row-major
-  std::size_t cin, n, kernel, stride, pad_left;
-  std::size_t out_len;  ///< columns per batch item
-
-  template <std::size_t NR>
-  void pack(std::size_t pc, std::size_t jc, std::size_t kc, std::size_t nc,
-            float* dst) const {
-    const std::size_t item_stride = cin * n;
-    for (std::size_t j0 = 0; j0 < nc; j0 += NR) {
-      const std::size_t nr = lesser(NR, nc - j0);
-      const std::size_t col0 = jc + j0;
-      const std::size_t item = col0 / out_len;
-      const std::size_t pos0 = col0 % out_len;
-      if (pos0 + nr <= out_len) {
-        pack_item_strip<NR>(x + item * item_stride, pos0, nr, pc, kc, dst);
-        dst += kc * NR;
-        continue;
-      }
-      // Strip straddles a batch-item boundary (only when out_len % NR != 0):
-      // per-lane addressing.
-      for (std::size_t p = pc; p < pc + kc; ++p) {
-        const std::size_t ci = p / kernel;
-        const std::size_t tap = p % kernel;
-        for (std::size_t jr = 0; jr < NR; ++jr) {
-          float v = 0.0f;
-          if (jr < nr) {
-            const std::size_t col = col0 + jr;
-            const float* xrow =
-                x + (col / out_len) * item_stride + ci * n;
-            const std::ptrdiff_t idx =
-                static_cast<std::ptrdiff_t>((col % out_len) * stride + tap) -
-                static_cast<std::ptrdiff_t>(pad_left);
-            if (idx >= 0 && idx < static_cast<std::ptrdiff_t>(n)) v = xrow[idx];
-          }
-          dst[jr] = v;
-        }
-        dst += NR;
-      }
-    }
-  }
-
- private:
-  /// One NR-strip fully inside one batch item, columns [pos0, pos0 + nr).
-  /// The (channel, tap) decomposition of the row index is carried
-  /// incrementally — no divisions in the row loop — and the stride-1
-  /// interior case collapses to a constant-length vector copy.
-  template <std::size_t NR>
-  void pack_item_strip(const float* xi, std::size_t pos0, std::size_t nr,
-                       std::size_t pc, std::size_t kc, float* dst) const {
-    const float* xrow = xi + (pc / kernel) * n;
-    std::size_t tap = pc % kernel;
-    const std::ptrdiff_t sn = static_cast<std::ptrdiff_t>(n);
-    // Input index of lane jr is base + jr*stride (negative = left pad).
-    std::ptrdiff_t base = static_cast<std::ptrdiff_t>(pos0 * stride + tap) -
-                          static_cast<std::ptrdiff_t>(pad_left);
-    const std::ptrdiff_t base0 = base - static_cast<std::ptrdiff_t>(tap);
     for (std::size_t p = 0; p < kc; ++p) {
-      if (stride == 1) {
-        if (base >= 0 && base + static_cast<std::ptrdiff_t>(NR) <= sn &&
-            nr == NR) {
-          // Interior strip: constant-length copy the compiler vectorizes.
-          const float* src = xrow + base;
-          for (std::size_t jr = 0; jr < NR; ++jr) dst[jr] = src[jr];
-        } else {
-          const std::ptrdiff_t snr = static_cast<std::ptrdiff_t>(nr);
-          std::ptrdiff_t lo = base < 0 ? -base : 0;  // first in-bounds lane
-          std::ptrdiff_t hi = sn - base;             // one past last
-          lo = lesser(lo, snr);
-          hi = greater(lesser(hi, snr), lo);
-          for (std::ptrdiff_t jr = 0; jr < lo; ++jr) dst[jr] = 0.0f;
-          for (std::ptrdiff_t jr = lo; jr < hi; ++jr)
-            dst[jr] = xrow[base + jr];
-          for (std::size_t jr = static_cast<std::size_t>(hi); jr < NR; ++jr)
-            dst[jr] = 0.0f;
-        }
-      } else {
-        for (std::size_t jr = 0; jr < NR; ++jr) {
-          const std::ptrdiff_t idx =
-              base + static_cast<std::ptrdiff_t>(jr * stride);
-          dst[jr] = (jr < nr && idx >= 0 && idx < sn) ? xrow[idx] : 0.0f;
-        }
-      }
+      for (std::size_t jr = 0; jr < nr; ++jr)
+        dst[jr] = load_any(trans, b, ldb, pc + p, jc + j0 + jr);
+      for (std::size_t jr = nr; jr < NR; ++jr) dst[jr] = 0.0f;
       dst += NR;
-      if (++tap == kernel) {  // next row: advance (channel, tap)
-        tap = 0;
-        xrow += n;
-        base = base0;
-      } else {
-        ++base;
-      }
     }
   }
-};
+}
 
-/// C policy: plain row-major C with leading dimension ldc.
-struct PlainCStore {
-  float* c;
-  std::size_t ldc;
-  float beta;
-
-  template <std::size_t NR>
-  void store(bool first_panel, float alpha, std::size_t row0, std::size_t mr,
-             std::size_t col0, std::size_t nr, const float* acc) const {
-    float* cblk = c + row0 * ldc + col0;
-    for (std::size_t ir = 0; ir < mr; ++ir) {
-      float* crow = cblk + ir * ldc;
-      const float* arow = acc + ir * NR;
-      if (!first_panel) {
-        for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] += alpha * arow[jr];
-      } else if (beta == 0.0f) {
-        for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] = alpha * arow[jr];
-      } else {
-        for (std::size_t jr = 0; jr < nr; ++jr)
-          crow[jr] = beta * crow[jr] + alpha * arow[jr];
-      }
+/// Writes one mr x nr tile of finished accumulators into row-major C:
+/// the first k-panel applies beta (beta == 0 never reads C), later panels
+/// add onto it.
+template <std::size_t NR>
+void store_tile(bool first_panel, float alpha, float beta, float* c,
+                std::size_t ldc, std::size_t mr, std::size_t nr,
+                const float* acc) {
+  for (std::size_t ir = 0; ir < mr; ++ir) {
+    float* crow = c + ir * ldc;
+    const float* arow = acc + ir * NR;
+    if (!first_panel) {
+      for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] += alpha * arow[jr];
+    } else if (beta == 0.0f) {
+      for (std::size_t jr = 0; jr < nr; ++jr) crow[jr] = alpha * arow[jr];
+    } else {
+      for (std::size_t jr = 0; jr < nr; ++jr)
+        crow[jr] = beta * crow[jr] + alpha * arow[jr];
     }
   }
-};
-
-/// C policy: batched conv output. GEMM row = out channel, GEMM column
-/// j = item*out_len + pos lands at out[item, row, pos]; the bias is fused
-/// into the first k-panel's write (no separate bias pass over the output).
-struct BatchedConvCStore {
-  float* out;  ///< [batch, cout, out_len]
-  std::size_t cout, out_len;
-  const float* bias;  ///< one per out channel, may be null
-
-  template <std::size_t NR>
-  void store(bool first_panel, float alpha, std::size_t row0, std::size_t mr,
-             std::size_t col0, std::size_t nr, const float* acc) const {
-    for (std::size_t ir = 0; ir < mr; ++ir) {
-      const std::size_t row = row0 + ir;
-      const float* arow = acc + ir * NR;
-      const float bv = bias != nullptr ? bias[row] : 0.0f;
-      std::size_t done = 0;
-      while (done < nr) {
-        const std::size_t item = (col0 + done) / out_len;
-        const std::size_t pos = (col0 + done) % out_len;
-        const std::size_t run = lesser(nr - done, out_len - pos);
-        float* crow = out + (item * cout + row) * out_len + pos;
-        if (first_panel) {
-          for (std::size_t t = 0; t < run; ++t)
-            crow[t] = alpha * arow[done + t] + bv;
-        } else {
-          for (std::size_t t = 0; t < run; ++t)
-            crow[t] += alpha * arow[done + t];
-        }
-        done += run;
-      }
-    }
-  }
-};
+}
 
 /// acc[MR][NR] = pa panel * pb panel over kc steps.
 ///
@@ -318,12 +169,12 @@ inline void micro_kernel(std::size_t kc, const float* pa, const float* pb,
 }
 
 /// The blocked driver: pack B strip -> pack A block -> register-tiled
-/// micro-kernel -> policy write-back.
-template <std::size_t MR, std::size_t NR, class BPack, class CStore>
-void sgemm_blocked_core(bool trans_a, std::size_t m, std::size_t n,
-                        std::size_t k, float alpha, const float* a,
-                        std::size_t lda, const BPack& bpack,
-                        const CStore& cstore, GemmScratch& scratch) {
+/// micro-kernel -> write-back into C. The contract of sgemm().
+template <std::size_t MR, std::size_t NR>
+void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
+                   std::size_t k, float alpha, const float* a, std::size_t lda,
+                   const float* b, std::size_t ldb, float beta, float* c,
+                   std::size_t ldc, GemmScratch& scratch) {
   static_assert(kMC % MR == 0, "MC must hold whole A panels");
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = lesser(kNC, n - jc);
@@ -332,7 +183,7 @@ void sgemm_blocked_core(bool trans_a, std::size_t m, std::size_t n,
       const std::size_t kc = lesser(kKC, k - pc);
       const bool first_panel = pc == 0;
       float* packed_b = grow(scratch.pack_b, kc * nc_padded);
-      bpack.template pack<NR>(pc, jc, kc, nc, packed_b);
+      pack_block_b<NR>(trans_b, b, ldb, pc, jc, kc, nc, packed_b);
 
       for (std::size_t ic = 0; ic < m; ic += kMC) {
         const std::size_t mc = lesser(kMC, m - ic);
@@ -352,23 +203,13 @@ void sgemm_blocked_core(bool trans_a, std::size_t m, std::size_t n,
             const float* pa = packed_a + (i0 / MR) * kc * MR;
             float acc[MR * NR];  // fully written by the micro-kernel
             micro_kernel<MR, NR>(kc, pa, pb, acc);
-            cstore.template store<NR>(first_panel, alpha, ic + i0, mr,
-                                      jc + j0, nr, acc);
+            store_tile<NR>(first_panel, alpha, beta,
+                           c + (ic + i0) * ldc + jc + j0, ldc, mr, nr, acc);
           }
         }
       }
     }
   }
-}
-
-template <std::size_t MR, std::size_t NR>
-void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
-                   std::size_t k, float alpha, const float* a, std::size_t lda,
-                   const float* b, std::size_t ldb, float beta, float* c,
-                   std::size_t ldc, GemmScratch& scratch) {
-  sgemm_blocked_core<MR, NR>(trans_a, m, n, k, alpha, a, lda,
-                             PlainB{trans_b, b, ldb},
-                             PlainCStore{c, ldc, beta}, scratch);
 }
 
 /// One MRC x NVC tile of conv_direct: output channels co0 + [0, mc) at the
@@ -434,14 +275,15 @@ template <std::size_t MRC, std::size_t NVC>
   }
 }
 
-/// Direct register-tiled stride-1 convolution: no packing at all. The
+/// Direct register-tiled convolution: no packing at all. The
 /// sliding-window structure means every "column matrix" strip is just a
 /// shifted slice of an input row, so the micro-kernel reads x in place
 /// (the per-item input is L1-sized for the paper model) while MRC output
 /// channels x NVC vectors of output positions accumulate in vector
 /// registers (conv_tile). This beats im2col+GEMM whenever Cout is small:
 /// packing traffic cannot be amortized over few GEMM rows, and here there
-/// is none.
+/// is none. The contract of sgemm_conv(): stride 1, "same" padding, so
+/// each output row has n positions.
 ///
 /// Each output element is one chain: acc = 0 + bias[co], then
 /// acc = fmadd(x_padded, w, acc) for every (ci, tap) in order. Items are
@@ -460,30 +302,30 @@ template <std::size_t MRC, std::size_t NVC>
 /// a ragged `cout % MRC` block recompute the last valid row (no memory
 /// outside the weights is read) and their results are not stored.
 template <std::size_t MRC, std::size_t NVC>
-void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
-                 const float* w, const float* bias, const float* x,
-                 std::size_t cin, std::size_t n, std::size_t kernel,
-                 std::size_t pad_left, std::size_t pad_right, float* out,
+void conv_direct(std::size_t cout, std::size_t batch, const float* w,
+                 const float* bias, const float* x, std::size_t cin,
+                 std::size_t n, std::size_t kernel, float* out,
                  GemmScratch& scratch, const ConvEpilogue* epilogue) {
   constexpr std::size_t NR = NVC * kVL;  // output positions per tile
   const std::size_t wrow_stride = cin * kernel;
+  const std::size_t pad_left = conv_pad_left(kernel);
 
   // Zero padding is materialized into an L1-sized staging copy of the item
   // (plus NR floats of load slop), so every tap load in the hot loop is a
   // plain unaligned vector load with no border branches. Only the pad and
   // slop columns need zeros: each item's copy rewrites the rest.
-  const std::size_t np = pad_left + n + pad_right + NR;
+  const std::size_t np = n + kernel - 1 + NR;
   float* xpad = grow(scratch.pack_a, cin * np);
   for (std::size_t ci = 0; ci < cin; ++ci) {
     float* row = xpad + ci * np;
     __builtin_memset(row, 0, pad_left * sizeof(float));
     __builtin_memset(row + pad_left + n, 0,
-                     (pad_right + NR) * sizeof(float));
+                     (np - pad_left - n) * sizeof(float));
   }
 
   for (std::size_t b = 0; b < batch; ++b) {
     const float* xi = x + b * cin * n;
-    float* ob = out + b * cout * out_len;
+    float* ob = out + b * cout * n;
     for (std::size_t ci = 0; ci < cin; ++ci)
       __builtin_memcpy(xpad + ci * np + pad_left, xi + ci * n,
                        n * sizeof(float));
@@ -496,39 +338,12 @@ void conv_direct(std::size_t cout, std::size_t out_len, std::size_t batch,
         wrow[ir] = w + co * wrow_stride;
         seed[ir] = 0.0f + (bias != nullptr ? bias[co] : 0.0f);
       }
-      for (std::size_t j0 = 0; j0 < out_len; j0 += NR)
+      for (std::size_t j0 = 0; j0 < n; j0 += NR)
         conv_tile<MRC, NVC>(wrow, seed, xpad + j0, np, cin, kernel, epilogue,
-                            co0, mc, ob + co0 * out_len + j0, out_len,
-                            lesser(NR, out_len - j0));
+                            co0, mc, ob + co0 * n + j0, n,
+                            lesser(NR, n - j0));
     }
   }
-}
-
-/// Fused batched conv forward: out[b] = W * im2col(x[b]) + bias for every
-/// batch item. Stride-1 convolutions use the pack-free direct kernel with
-/// an MRC x NVC register block (and the optional epilogue); strided ones
-/// run as ONE blocked MR x NR GEMM (weights packed once per call) with a
-/// virtual column matrix and scattered output placement, and take no
-/// epilogue (sgemm_conv checks).
-template <std::size_t MR, std::size_t NR, std::size_t MRC, std::size_t NVC>
-void sgemm_conv_blocked(std::size_t cout, std::size_t out_len,
-                        std::size_t batch, const float* w, const float* bias,
-                        const float* x, std::size_t cin, std::size_t n,
-                        std::size_t kernel, std::size_t stride,
-                        std::size_t pad_left, float* out,
-                        GemmScratch& scratch, const ConvEpilogue* epilogue) {
-  if (stride == 1) {
-    // Padding totals are recovered from out_len.
-    const std::size_t pad_total = (out_len - 1) + kernel - n;
-    conv_direct<MRC, NVC>(cout, out_len, batch, w, bias, x, cin, n, kernel,
-                          pad_left, pad_total - pad_left, out, scratch,
-                          epilogue);
-    return;
-  }
-  sgemm_blocked_core<MR, NR>(
-      /*trans_a=*/false, cout, batch * out_len, cin * kernel, 1.0f, w,
-      cin * kernel, Im2colB{x, cin, n, kernel, stride, pad_left, out_len},
-      BatchedConvCStore{out, cout, out_len, bias}, scratch);
 }
 
 }  // namespace SCALOCATE_TILE_ISA

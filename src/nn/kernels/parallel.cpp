@@ -88,8 +88,6 @@ std::size_t parallel_min_flops() {
   return tls_min_flops > 0 ? tls_min_flops : kDefaultMinFlops;
 }
 
-void set_parallel_min_flops(std::size_t flops) { tls_min_flops = flops; }
-
 ParallelGrainGuard::ParallelGrainGuard(std::size_t flops)
     : prev_(tls_min_flops) {
   tls_min_flops = flops;

@@ -62,12 +62,13 @@ class IntraOpGuard {
 };
 
 /// Minimum useful-work threshold (in FLOPs) below which the GEMM/conv
-/// drivers stay single-threaded; thread-local so tests can drop it to
-/// force tiny problems through the parallel path. 0 resets the default.
+/// drivers stay single-threaded: the calling thread's override while a
+/// ParallelGrainGuard is active, otherwise the default.
 std::size_t parallel_min_flops();
-void set_parallel_min_flops(std::size_t flops);
 
-/// RAII threshold override for tests (see set_parallel_min_flops).
+/// RAII override of the calling thread's threshold, so tests can drop it
+/// to force tiny problems through the parallel path (0 = the default);
+/// restores the previous value on destruction.
 class ParallelGrainGuard {
  public:
   explicit ParallelGrainGuard(std::size_t flops);

@@ -4,10 +4,6 @@
 
 namespace scalocate::nn::kernels {
 
-void axpy(std::size_t n, float alpha, const float* x, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
-}
-
 void add_inplace(std::size_t n, const float* x, float* y) {
   for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
@@ -26,18 +22,6 @@ void relu_mask(std::size_t n, const float* x, float* y, float* mask) {
 
 void multiply(std::size_t n, const float* a, const float* b, float* out) {
   for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void bias_relu_rows(float* c, const float* bias, std::size_t rows,
-                    std::size_t cols) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float bv = bias[r];
-    float* crow = c + r * cols;
-    for (std::size_t j = 0; j < cols; ++j) {
-      const float v = crow[j] + bv;
-      crow[j] = v > 0.0f ? v : 0.0f;
-    }
-  }
 }
 
 void add_bias_cols(float* c, const float* bias, std::size_t rows,

@@ -1,9 +1,9 @@
 // Fused / vectorizable pointwise and reduction kernels.
 //
 // Every element-wise loop of the nn layers lives here as a flat,
-// branch-free kernel over raw pointers: bias addition (optionally fused
-// with ReLU), the ReLU family, axpy-style accumulation (residual
-// shortcuts), the scale-shift form of BatchNorm, and the double-precision
+// branch-free kernel over raw pointers: bias addition, the ReLU family,
+// accumulation (residual shortcuts), the scale-shift form of BatchNorm,
+// and the double-precision
 // reductions the statistics need. Layers stay thin shape-checking
 // adapters; everything the optimizer can vectorize is concentrated in
 // this translation unit.
@@ -18,10 +18,6 @@
 namespace scalocate::nn::kernels {
 
 // --- accumulation ---------------------------------------------------------
-
-/// y += alpha * x. Standalone primitive (unit-tested); the current layers
-/// only need the alpha == 1 form below.
-void axpy(std::size_t n, float alpha, const float* x, float* y);
 
 /// y += x (residual shortcut add, bias-gradient accumulation)
 void add_inplace(std::size_t n, const float* x, float* y);
@@ -38,14 +34,6 @@ void relu_mask(std::size_t n, const float* x, float* y, float* mask);
 void multiply(std::size_t n, const float* a, const float* b, float* out);
 
 // --- bias -----------------------------------------------------------------
-
-/// Fused c[r, :] = max(c[r, :] + bias[r], 0) for a row-major [rows, cols]
-/// block (conv layout: one bias per output-channel row). Standalone
-/// primitive for models whose conv is directly followed by ReLU; the paper
-/// model interposes BatchNorm, and Conv1d fuses its plain bias into the
-/// GEMM write-back instead (kernels::sgemm_conv).
-void bias_relu_rows(float* c, const float* bias, std::size_t rows,
-                    std::size_t cols);
 
 /// c[:, j] += bias[j] (linear layout: one bias per output feature column).
 void add_bias_cols(float* c, const float* bias, std::size_t rows,

@@ -4,14 +4,13 @@ namespace scalocate::nn::kernels {
 
 void conv1d_forward_naive(const float* x, std::size_t batch, std::size_t cin,
                           std::size_t n, const float* w, const float* bias,
-                          std::size_t cout, std::size_t kernel,
-                          std::size_t stride, std::size_t pad_left,
-                          std::size_t out_len, float* out) {
+                          std::size_t cout, std::size_t kernel, float* out) {
+  const std::size_t pad_left = (kernel - 1) / 2;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t co = 0; co < cout; ++co) {
-      float* orow = out + (b * cout + co) * out_len;
+      float* orow = out + (b * cout + co) * n;
       const float bv = bias[co];
-      for (std::size_t i = 0; i < out_len; ++i) orow[i] = bv;
+      for (std::size_t i = 0; i < n; ++i) orow[i] = bv;
       for (std::size_t ci = 0; ci < cin; ++ci) {
         const float* xrow = x + (b * cin + ci) * n;
         const float* wrow = w + (co * cin + ci) * kernel;
@@ -19,22 +18,15 @@ void conv1d_forward_naive(const float* x, std::size_t batch, std::size_t cin,
           const float wv = wrow[k];
           if (wv == 0.0f) continue;
           // Output positions whose tap k lands inside [0, n).
-          std::size_t lo = 0;
-          if (k < pad_left) lo = (pad_left - k + stride - 1) / stride;
-          if (lo >= out_len) continue;
+          const std::size_t lo = k < pad_left ? pad_left - k : 0;
+          if (lo >= n) continue;
           const std::size_t max_idx = n - 1 + pad_left;
           if (k > max_idx) continue;
-          std::size_t hi = (max_idx - k) / stride;  // inclusive
-          if (hi >= out_len) hi = out_len - 1;
-          const float* xbase = xrow + (lo * stride + k - pad_left);
+          std::size_t hi = max_idx - k;  // inclusive
+          if (hi >= n) hi = n - 1;
+          const float* xbase = xrow + (lo + k - pad_left);
           float* obase = orow + lo;
-          const std::size_t count = hi - lo + 1;
-          if (stride == 1) {
-            for (std::size_t i = 0; i < count; ++i) obase[i] += wv * xbase[i];
-          } else {
-            for (std::size_t i = 0; i < count; ++i)
-              obase[i] += wv * xbase[i * stride];
-          }
+          for (std::size_t i = 0; i <= hi - lo; ++i) obase[i] += wv * xbase[i];
         }
       }
     }
@@ -43,15 +35,14 @@ void conv1d_forward_naive(const float* x, std::size_t batch, std::size_t cin,
 
 void conv1d_backward_naive(const float* x, std::size_t batch, std::size_t cin,
                            std::size_t n, const float* w, std::size_t cout,
-                           std::size_t kernel, std::size_t stride,
-                           std::size_t pad_left, std::size_t out_len,
-                           const float* gout, float* gx, float* gw,
-                           float* gb) {
+                           std::size_t kernel, const float* gout, float* gx,
+                           float* gw, float* gb) {
+  const std::size_t pad_left = (kernel - 1) / 2;
   for (std::size_t b = 0; b < batch; ++b) {
     for (std::size_t co = 0; co < cout; ++co) {
-      const float* gorow = gout + (b * cout + co) * out_len;
+      const float* gorow = gout + (b * cout + co) * n;
       float acc = 0.0f;
-      for (std::size_t i = 0; i < out_len; ++i) acc += gorow[i];
+      for (std::size_t i = 0; i < n; ++i) acc += gorow[i];
       gb[co] += acc;
 
       for (std::size_t ci = 0; ci < cin; ++ci) {
@@ -60,29 +51,20 @@ void conv1d_backward_naive(const float* x, std::size_t batch, std::size_t cin,
         const float* wrow = w + (co * cin + ci) * kernel;
         float* gwrow = gw + (co * cin + ci) * kernel;
         for (std::size_t k = 0; k < kernel; ++k) {
-          std::size_t lo = 0;
-          if (k < pad_left) lo = (pad_left - k + stride - 1) / stride;
-          if (lo >= out_len) continue;
+          const std::size_t lo = k < pad_left ? pad_left - k : 0;
+          if (lo >= n) continue;
           const std::size_t max_idx = n - 1 + pad_left;
           if (k > max_idx) continue;
-          std::size_t hi = (max_idx - k) / stride;
-          if (hi >= out_len) hi = out_len - 1;
-          const std::size_t count = hi - lo + 1;
-          const float* xbase = xrow + (lo * stride + k - pad_left);
-          float* gxbase = gxrow + (lo * stride + k - pad_left);
+          std::size_t hi = max_idx - k;
+          if (hi >= n) hi = n - 1;
+          const float* xbase = xrow + (lo + k - pad_left);
+          float* gxbase = gxrow + (lo + k - pad_left);
           const float* gbase = gorow + lo;
           const float wv = wrow[k];
           float wacc = 0.0f;
-          if (stride == 1) {
-            for (std::size_t i = 0; i < count; ++i) {
-              wacc += gbase[i] * xbase[i];
-              gxbase[i] += wv * gbase[i];
-            }
-          } else {
-            for (std::size_t i = 0; i < count; ++i) {
-              wacc += gbase[i] * xbase[i * stride];
-              gxbase[i * stride] += wv * gbase[i];
-            }
+          for (std::size_t i = 0; i <= hi - lo; ++i) {
+            wacc += gbase[i] * xbase[i];
+            gxbase[i] += wv * gbase[i];
           }
           gwrow[k] += wacc;
         }

@@ -20,7 +20,7 @@
 namespace scalocate::nn::kernels::detail {
 
 /// A tile's single-threaded kernels, with the contracts of sgemm() and
-/// sgemm_conv(). The conv entry takes an epilogue at stride 1 only.
+/// sgemm_conv().
 using GemmEntry = decltype(&sgemm);
 using ConvEntry = decltype(&sgemm_conv);
 

@@ -107,7 +107,6 @@ class Workspace {
     Tensor a;                        ///< primary cache (input / mask / xhat)
     std::vector<float> scalars;      ///< per-channel scalars (batch norm)
     std::vector<std::size_t> shape;  ///< cached input shape (pooling)
-    std::vector<std::size_t> indices;  ///< argmax positions (max pooling)
   };
 
   Slot& slot(const Layer* layer) { return slots_[layer]; }

@@ -94,7 +94,7 @@ void Sequential::plan_eval_steps() {
   for (std::size_t i = 0; i < layers_.size();) {
     const auto* conv = dynamic_cast<const Conv1d*>(at(i));
     const auto* bn = dynamic_cast<const BatchNorm1d*>(at(i + 1));
-    if (conv != nullptr && bn != nullptr && conv->stride_amount() == 1 &&
+    if (conv != nullptr && bn != nullptr &&
         bn->channels() == conv->out_channels()) {
       const bool relu = dynamic_cast<const ReLU*>(at(i + 2)) != nullptr;
       plan_.push_back({nullptr, conv, bn, relu});

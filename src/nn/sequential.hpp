@@ -13,8 +13,8 @@
 // forward (one workspace lane per chunk, kernels single-threaded inside);
 // at batch 1 the kernels keep their own intra-op split.
 //
-// Sequential also fuses the paper's conv block: a stride-1 Conv1d followed
-// by a BatchNorm1d, with or without a ReLU after it, is one eval step, in
+// Sequential also fuses the paper's conv block: a Conv1d followed by a
+// BatchNorm1d, with or without a ReLU after it, is one eval step, in
 // which the conv kernel applies the BatchNorm and the ReLU to its
 // accumulators before the store (kernels::ConvEpilogue). The plan is made
 // when layers are added. Either way every element comes from the same

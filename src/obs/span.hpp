@@ -81,8 +81,6 @@ class SpanTimer {
   SpanTimer(const SpanTimer&) = delete;
   SpanTimer& operator=(const SpanTimer&) = delete;
 
-  /// Nanoseconds elapsed so far (the destructor records the final value).
-  std::uint64_t elapsed_ns() const { return steady_now_ns() - start_ns_; }
   std::uint32_t depth() const { return depth_; }
 
  private:

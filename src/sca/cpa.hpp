@@ -44,7 +44,6 @@ class CpaAttack {
   void add_trace(std::span<const float> segment,
                  const crypto::Block16& plaintext);
 
-  std::size_t traces_added() const { return n_traces_; }
   std::size_t bins() const { return n_bins_; }
 
   /// max_j |rho[b][guess][j]| for one byte/guess.

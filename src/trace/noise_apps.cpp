@@ -4,26 +4,6 @@
 
 namespace scalocate::trace {
 
-std::string noise_phase_name(NoisePhase phase) {
-  switch (phase) {
-    case NoisePhase::kMemoryBurst:
-      return "memory-burst";
-    case NoisePhase::kAluLoop:
-      return "alu-loop";
-    case NoisePhase::kTableLookup:
-      return "table-lookup";
-    case NoisePhase::kBranchy:
-      return "branchy";
-    case NoisePhase::kIdle:
-      return "idle";
-    case NoisePhase::kMixed:
-      return "mixed";
-    case NoisePhase::kCount:
-      break;
-  }
-  throw InvalidArgument("noise_phase_name: invalid phase");
-}
-
 NoiseAppGenerator::NoiseAppGenerator(std::uint64_t seed) : rng_(seed) {}
 
 crypto::DataEvent NoiseAppGenerator::next_event(NoisePhase phase,

@@ -29,8 +29,6 @@ enum class NoisePhase : std::uint8_t {
   kCount,
 };
 
-std::string noise_phase_name(NoisePhase phase);
-
 /// Generates noise-application instruction streams.
 class NoiseAppGenerator {
  public:

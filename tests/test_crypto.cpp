@@ -407,14 +407,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CipherId::kClefia128, CipherId::kCamellia128,
                       CipherId::kSimon128));
 
-TEST(CipherRegistry, ParseAndDisplayNames) {
-  EXPECT_EQ(parse_cipher_id("aes"), CipherId::kAes128);
-  EXPECT_EQ(parse_cipher_id("AES-128"), CipherId::kAes128);
-  EXPECT_EQ(parse_cipher_id("aes-mask"), CipherId::kAesMasked);
-  EXPECT_EQ(parse_cipher_id("Clefia"), CipherId::kClefia128);
-  EXPECT_EQ(parse_cipher_id("camellia"), CipherId::kCamellia128);
-  EXPECT_EQ(parse_cipher_id("simon"), CipherId::kSimon128);
-  EXPECT_THROW(parse_cipher_id("des"), InvalidArgument);
+TEST(CipherRegistry, DisplayNames) {
   EXPECT_EQ(cipher_display_name(CipherId::kAesMasked), "AES mask");
   EXPECT_EQ(all_cipher_ids().size(), 5u);
 }

@@ -18,6 +18,7 @@
 // no armed site leaks into a neighbor.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -155,16 +156,26 @@ TEST_F(FaultsSuite, InjectedStallTripsWatchdog) {
   auto session = engine.open_session();
   const auto& trips = *session.metrics().watchdog_trips;
 
-  // Establish a p99 baseline with small, fast jobs (noise-only slices).
+  // Establish a p99 baseline with small, fast jobs (noise-only slices),
+  // timing each from submit to result: an upper bound on its run time.
   const auto slice = eval_span().subspan(0, 4096);
-  for (int i = 0; i < 20; ++i) session.submit_view(slice).get();
+  std::chrono::milliseconds slowest{0};
+  for (int i = 0; i < 20; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    session.submit_view(slice).get();
+    slowest = std::max(slowest, std::chrono::ceil<std::chrono::milliseconds>(
+                                    std::chrono::steady_clock::now() - t0));
+  }
   EXPECT_EQ(trips.value(), 0u);
 
-  // One wedged worker: stalls far past 3x the baseline p99.
+  // One wedged worker: stalls past 3x the baseline p99 in every build. The
+  // p99 is at most the slowest warm-up run (the histogram clamps it to its
+  // exact max), so 4x the slowest warm-up job clears the limit even where
+  // a sanitizer slows every job; 1200 ms is the floor for fast builds.
   auto& injector = runtime::FaultInjector::instance();
   runtime::FaultSpec spec;
   spec.action = runtime::FaultSpec::Action::kStall;
-  spec.stall = 1200ms;
+  spec.stall = std::max(1200ms, 4 * slowest);
   spec.times = 1;
   injector.arm(kJobSite, spec);
 

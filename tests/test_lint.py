@@ -189,6 +189,70 @@ class HeaderUsingRule(unittest.TestCase):
             self.assertEqual(lint.check_header_using(Path(root)), [])
 
 
+class TestOnlyApiRule(unittest.TestCase):
+    HPP = ("namespace k {\n"
+           "/// Only tests call this.\n"
+           "void only_tests(int x);\n"
+           "std::vector<float> used(const float* x,\n"
+           "                        int n);\n"
+           "class Box {\n"
+           " public:\n"
+           "  int member() const;\n"
+           "};\n"
+           "}  // namespace k\n")
+    CPP = ("void only_tests(int x) { (void)x; }\n"
+           "std::vector<float> used(const float* x, int n) { return {}; }\n"
+           "int Box::member() const { return 0; }\n")
+    # Named in tests/, in a comment and in a string: none of it is a caller.
+    TEST = "TEST(A, B) { only_tests(1); used(nullptr, 0); }\n"
+    MENTIONS = ('// only_tests() is handy\n'
+                'const char* s = "only_tests: bad";\n')
+
+    def tree(self, callers: dict[str, str]) -> dict[str, str]:
+        files = {"src/k/a.hpp": self.HPP, "src/k/a.cpp": self.CPP,
+                 "tests/test_a.cpp": self.TEST,
+                 "src/k/mentions.cpp": self.MENTIONS}
+        files.update(callers)
+        return files
+
+    def test_fires_on_function_only_tests_call(self):
+        files = self.tree({"src/k/b.cpp": "int f() { return used(0, 0)[0]; }\n"})
+        with make_tree(files) as root:
+            findings = lint.check_test_only_api(Path(root), {})
+        self.assertEqual(len(findings), 1)
+        self.assertIn("src/k/a.hpp:3", findings[0])
+        self.assertIn("only_tests()", findings[0])
+        self.assertIn("[test-only-api]", findings[0])
+
+    def test_passes_with_callers_outside_tests(self):
+        # Callers count from bench/, examples/ and perfbench/ too; members
+        # (Box::member, called nowhere) are out of scope.
+        for top in ("src/k", "bench", "examples", "perfbench/src"):
+            files = self.tree({
+                f"{top}/caller.cpp": "void g() { only_tests(2); }\n",
+                "bench/other.hpp": "inline auto h = &used;\n"})
+            with self.subTest(top=top), make_tree(files) as root:
+                self.assertEqual(lint.check_test_only_api(Path(root), {}), [])
+
+    def test_passes_on_allowlisted_function(self):
+        files = self.tree({"src/k/b.cpp": "int f() { return used(0, 0)[0]; }\n"})
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_test_only_api(
+                Path(root), {"only_tests": "oracle"}), [])
+
+    def test_fires_on_stale_allowlist_entries(self):
+        files = self.tree({"src/k/b.cpp": "void g() { only_tests(2); }\n",
+                           "examples/e.cpp": "int f() { return used(0, 0)[0]; }\n"})
+        allowlist = {"gone": "deleted function", "only_tests": "gained a caller"}
+        with make_tree(files) as root:
+            findings = lint.check_test_only_api(Path(root), allowlist)
+        self.assertEqual(len(findings), 2)
+        self.assertIn("'gone' names no function", findings[0])
+        self.assertIn("'only_tests' has a caller", findings[1])
+        for f in findings:
+            self.assertIn("[test-only-api]", f)
+
+
 class TileSymbolsCheck(unittest.TestCase):
     GUARDED = ["gemm_avx2.cpp.o", "gemm_avx512.cpp.o"]
     # `nm -A --defined-only libscalocate.a` lines: GNU nm prints

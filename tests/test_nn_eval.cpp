@@ -173,13 +173,12 @@ TEST(DepthFirstEval, LinearOnlySequentialPassesRankTwoRows) {
 }
 
 TEST(DepthFirstEval, OtherLeavesAndResidualEdgesMatchLayerByLayer) {
-  // What the paper CNN does not run: a strided conv (the blocked GEMM path
-  // of sgemm_conv), max pooling, a residual whose main branch starts with
-  // ReLU (it must not overwrite the shared block input in place), and one
-  // whose main branch is empty (it returns the read-only block input).
+  // What the paper CNN does not run: a conv with no BatchNorm after it, a
+  // residual whose main branch starts with ReLU (it must not overwrite the
+  // shared block input in place), and one whose main branch is empty (it
+  // returns the read-only block input).
   Sequential net;
-  net.emplace<Conv1d>(2, 6, 5, 2);
-  net.emplace<MaxPool1d>(3, 2);
+  net.emplace<Conv1d>(2, 6, 5);
   auto relu_first = std::make_unique<Sequential>();
   relu_first->emplace<ReLU>();
   net.add(std::make_unique<Residual>(std::move(relu_first)));
@@ -203,16 +202,15 @@ TEST(DepthFirstEval, OtherLeavesAndResidualEdgesMatchLayerByLayer) {
 
 TEST(DepthFirstEval, FusedConvBlocksMatchLayerByLayer) {
   // The conv-block shapes the paper CNN lacks: conv -> BN without a ReLU,
-  // a strided conv -> BN (not fused: the epilogue is stride-1 only), and a
-  // Sequential that ends in conv -> BN. The grain guard sends even these
-  // small convs through the batch-1 channel split, so the epilogue is
-  // sliced per chunk at budget 3.
+  // conv -> ReLU without a BN (not fused: there is no BatchNorm to apply),
+  // and a Sequential that ends in conv -> BN. The grain guard sends even
+  // these small convs through the batch-1 channel split, so the epilogue
+  // is sliced per chunk at budget 3.
   kernels::ParallelGrainGuard grain(1);
   Sequential net;
   net.emplace<Conv1d>(2, 8, 5);
   net.emplace<BatchNorm1d>(8);
-  net.emplace<Conv1d>(8, 8, 3, 2);
-  net.emplace<BatchNorm1d>(8);
+  net.emplace<Conv1d>(8, 8, 3);
   net.emplace<ReLU>();
   net.emplace<Conv1d>(8, 16, 7);
   net.emplace<BatchNorm1d>(16);

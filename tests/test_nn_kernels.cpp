@@ -4,7 +4,7 @@
 // (a known-answer chain on the FMA tiles, parity for the portable tile),
 // im2col/col2im round trips, the fused pointwise ops, Tensor reshape/view
 // semantics, and gradient checks routed through the new backend
-// (Conv1d/Linear/MaxPool1d).
+// (Conv1d/Linear).
 //
 // This TU is built for the baseline ISA and calls the wide tiles only
 // through the table's function pointers, never by instantiating
@@ -34,7 +34,6 @@
 #include "nn/kernels/reference.hpp"
 #include "nn/kernels/tiles.hpp"
 #include "nn/linear.hpp"
-#include "nn/pooling.hpp"
 #include "nn/tensor.hpp"
 
 namespace scalocate::nn {
@@ -233,21 +232,22 @@ TEST(Gemm, BetaZeroIgnoresGarbageC) {
 // ---------------------------------------------------------------------------
 
 TEST(Im2Col, MatchesDirectIndexing) {
-  const std::size_t cin = 3, n = 11, k = 4, stride = 2, pad = 1;
-  const std::size_t out_len = kernels::conv_output_length(n, k, stride, pad, pad);
+  // Even k: "same" padding puts (k-1)/2 = 1 zero on the left, 2 on the
+  // right.
+  const std::size_t cin = 3, n = 11, k = 4, pad_left = 1;
   const auto x = random_vec(cin * n, 7);
-  std::vector<float> col(cin * k * out_len, -99.0f);
-  kernels::im2col(x.data(), cin, n, k, stride, pad, out_len, col.data());
+  std::vector<float> col(cin * k * n, -99.0f);
+  kernels::im2col(x.data(), cin, n, k, col.data());
   for (std::size_t ci = 0; ci < cin; ++ci) {
     for (std::size_t kk = 0; kk < k; ++kk) {
-      for (std::size_t j = 0; j < out_len; ++j) {
-        const std::ptrdiff_t src = static_cast<std::ptrdiff_t>(j * stride + kk) -
-                                   static_cast<std::ptrdiff_t>(pad);
+      for (std::size_t j = 0; j < n; ++j) {
+        const std::ptrdiff_t src = static_cast<std::ptrdiff_t>(j + kk) -
+                                   static_cast<std::ptrdiff_t>(pad_left);
         const float expected =
             (src >= 0 && src < static_cast<std::ptrdiff_t>(n))
                 ? x[ci * n + static_cast<std::size_t>(src)]
                 : 0.0f;
-        ASSERT_FLOAT_EQ(col[(ci * k + kk) * out_len + j], expected)
+        ASSERT_FLOAT_EQ(col[(ci * k + kk) * n + j], expected)
             << "ci=" << ci << " k=" << kk << " j=" << j;
       }
     }
@@ -257,14 +257,13 @@ TEST(Im2Col, MatchesDirectIndexing) {
 TEST(Col2Im, IsAdjointOfIm2Col) {
   // <im2col(x), c> == <x, col2im(c)> for random x, c — the defining
   // property of the transpose, which is exactly what backward needs.
-  const std::size_t cin = 2, n = 9, k = 3, stride = 1, pad = 1;
-  const std::size_t out_len = kernels::conv_output_length(n, k, stride, pad, pad);
+  const std::size_t cin = 2, n = 9, k = 3;
   const auto x = random_vec(cin * n, 11);
-  const auto c = random_vec(cin * k * out_len, 13);
-  std::vector<float> col(cin * k * out_len);
-  kernels::im2col(x.data(), cin, n, k, stride, pad, out_len, col.data());
+  const auto c = random_vec(cin * k * n, 13);
+  std::vector<float> col(cin * k * n);
+  kernels::im2col(x.data(), cin, n, k, col.data());
   std::vector<float> xt(cin * n, 0.0f);
-  kernels::col2im(c.data(), cin, n, k, stride, pad, out_len, xt.data());
+  kernels::col2im(c.data(), cin, n, k, xt.data());
   double lhs = 0.0, rhs = 0.0;
   for (std::size_t i = 0; i < col.size(); ++i)
     lhs += static_cast<double>(col[i] * c[i]);
@@ -278,36 +277,33 @@ TEST(Col2Im, IsAdjointOfIm2Col) {
 // ---------------------------------------------------------------------------
 
 struct ConvShape {
-  std::size_t batch, cin, cout, k, stride, n;
-  int pad;  // -1 = same padding
+  std::size_t batch, cin, cout, k, n;
 };
 
 class ConvParity : public ::testing::TestWithParam<ConvShape> {};
 
 TEST_P(ConvParity, ForwardAndBackwardMatchReference) {
   const auto p = GetParam();
-  Conv1d conv(p.cin, p.cout, p.k, p.stride, p.pad);
+  Conv1d conv(p.cin, p.cout, p.k);
   Rng rng(17);
   he_normal_init(conv.weight().value, rng);
   for (float& v : conv.bias().value.flat())
     v = static_cast<float>(rng.uniform(-0.5, 0.5));
   const auto x = random_tensor({p.batch, p.cin, p.n}, 19);
-  const std::size_t out_len = conv.output_length(p.n);
 
   // Forward parity.
   conv.set_training(true);
   Workspace ws;
   const Tensor y = conv.forward(x, ws);
-  std::vector<float> y_ref(p.batch * p.cout * out_len);
+  std::vector<float> y_ref(p.batch * p.cout * p.n);
   kernels::conv1d_forward_naive(x.data(), p.batch, p.cin, p.n,
                                 conv.weight().value.data(),
                                 conv.bias().value.data(), p.cout, p.k,
-                                p.stride, conv.pad_left(), out_len,
                                 y_ref.data());
   expect_close(y.flat(), y_ref, 1e-4f, "conv forward");
 
   // Backward parity (input, weight, and bias gradients).
-  const auto gout = random_tensor({p.batch, p.cout, out_len}, 23);
+  const auto gout = random_tensor({p.batch, p.cout, p.n}, 23);
   conv.weight().zero_grad();
   conv.bias().zero_grad();
   const Tensor gx = conv.backward(gout, ws);
@@ -316,7 +312,6 @@ TEST_P(ConvParity, ForwardAndBackwardMatchReference) {
   std::vector<float> gb_ref(p.cout, 0.0f);
   kernels::conv1d_backward_naive(x.data(), p.batch, p.cin, p.n,
                                  conv.weight().value.data(), p.cout, p.k,
-                                 p.stride, conv.pad_left(), out_len,
                                  gout.data(), gx_ref.data(), gw_ref.data(),
                                  gb_ref.data());
   expect_close(gx.flat(), gx_ref, 1e-4f, "conv grad_input");
@@ -326,16 +321,14 @@ TEST_P(ConvParity, ForwardAndBackwardMatchReference) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvParity,
-    ::testing::Values(ConvShape{2, 1, 4, 3, 1, 16, -1},   // tiny same-pad
-                      ConvShape{1, 1, 16, 16, 1, 192, -1},  // paper entry conv
-                      ConvShape{2, 16, 32, 16, 1, 192, -1},  // paper widening
-                      ConvShape{1, 16, 32, 1, 1, 50, 0},  // 1x1 projection
-                      ConvShape{2, 3, 5, 4, 2, 37, -1},   // even k, stride 2
-                      ConvShape{1, 2, 2, 5, 3, 29, 0},    // no pad, stride 3
-                      ConvShape{3, 4, 4, 7, 1, 21, 2}));  // explicit pad
+    ::testing::Values(ConvShape{2, 1, 4, 3, 16},     // tiny
+                      ConvShape{1, 1, 16, 16, 192},  // paper entry conv
+                      ConvShape{2, 16, 32, 16, 192},  // paper widening
+                      ConvShape{1, 16, 32, 1, 50},   // 1x1 projection
+                      ConvShape{3, 4, 4, 7, 21}));   // odd k: pad 3 + 3
 
 // ---------------------------------------------------------------------------
-// Direct (stride-1) conv: exact arithmetic of both tiles
+// Direct conv: exact arithmetic of every tile
 // ---------------------------------------------------------------------------
 
 struct DirectConvCase {
@@ -347,7 +340,7 @@ struct DirectConvCase {
 /// and 32 (whole blocks); out_len 37 and 193 (not a multiple of any tile
 /// width) and the paper windows 288 and 384 (whole 48-wide strips, and
 /// whole 16- and 8-wide ones); cin in {1, 16, 32}, k in {1, 16, 64} (64 is
-/// the paper kernel), batch 1 and 3; stride 1 with "same" padding, so
+/// the paper kernel), batch 1 and 3. The conv keeps the length, so
 /// n == out_len.
 std::vector<DirectConvCase> ragged_direct_cases() {
   std::vector<DirectConvCase> cases;
@@ -430,18 +423,16 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
       SCOPED_TRACE(tile.name);
       std::vector<float> out(c.batch * c.cout * c.out_len,
                              std::numeric_limits<float>::quiet_NaN());
-      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
-                d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(), out.data(),
-                scratch, nullptr);
+      tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
+                c.out_len, c.k, out.data(), scratch, nullptr);
       expect_bit_equal(out, chain, "FMA direct conv vs scalar chain");
     }
     // The public entry runs the dispatched tile, so it computes the chain
     // too.
     std::vector<float> pub(c.batch * c.cout * c.out_len,
                            std::numeric_limits<float>::quiet_NaN());
-    kernels::sgemm_conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
-                        d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
-                        pub.data(), scratch);
+    kernels::sgemm_conv(c.cout, c.batch, d.w.data(), d.bias.data(),
+                        d.x.data(), c.cin, c.out_len, c.k, pub.data(), scratch);
     expect_bit_equal(pub, chain, "sgemm_conv vs scalar chain");
   }
 #else
@@ -463,23 +454,21 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
     const std::size_t out_item = c.cout * c.out_len;
     std::vector<float> ref(c.batch * out_item);
     kernels::conv1d_forward_naive(d.x.data(), c.batch, c.cin, n, d.w.data(),
-                                  d.bias.data(), c.cout, c.k, 1, c.pad_left(),
-                                  c.out_len, ref.data());
+                                  d.bias.data(), c.cout, c.k, ref.data());
     for (const Tile& tile : tiles) {
       SCOPED_TRACE(tile.name);
       std::vector<float> out(c.batch * out_item,
                              std::numeric_limits<float>::quiet_NaN());
-      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
-                d.x.data(), c.cin, n, c.k, 1, c.pad_left(), out.data(),
-                scratch, nullptr);
+      tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
+                n, c.k, out.data(), scratch, nullptr);
       expect_close(out, ref, 1e-4f, "direct conv vs naive");
 
       for (std::size_t b = 0; b < c.batch; ++b) {
         std::vector<float> one(out_item,
                                std::numeric_limits<float>::quiet_NaN());
-        tile.conv(c.cout, c.out_len, 1, d.w.data(), d.bias.data(),
-                  d.x.data() + b * c.cin * n, c.cin, n, c.k, 1, c.pad_left(),
-                  one.data(), scratch, nullptr);
+        tile.conv(c.cout, 1, d.w.data(), d.bias.data(),
+                  d.x.data() + b * c.cin * n, c.cin, n, c.k, one.data(),
+                  scratch, nullptr);
         expect_bit_equal(
             one,
             std::span<const float>(out).subspan(b * out_item, out_item),
@@ -568,9 +557,8 @@ TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
     for (const Tile& tile : tiles) {
       SCOPED_TRACE(tile.name);
       std::vector<float> plain(total, std::numeric_limits<float>::quiet_NaN());
-      tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
-                d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
-                plain.data(), scratch, nullptr);
+      tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
+                c.out_len, c.k, plain.data(), scratch, nullptr);
       const EpilogueConstants e(c, plain);
       for (bool relu : {false, true}) {
         SCOPED_TRACE(relu ? "relu" : "no relu");
@@ -579,33 +567,21 @@ TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
         const kernels::ConvEpilogue epi = e.epilogue(relu);
         std::vector<float> fused(total,
                                  std::numeric_limits<float>::quiet_NaN());
-        tile.conv(c.cout, c.out_len, c.batch, d.w.data(), d.bias.data(),
-                  d.x.data(), c.cin, c.out_len, c.k, 1, c.pad_left(),
-                  fused.data(), scratch, &epi);
+        tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(),
+                  c.cin, c.out_len, c.k, fused.data(), scratch, &epi);
         expect_bit_equal(fused, expected, "conv + epilogue vs separate passes");
         if (is_dispatched(tile)) {
           std::vector<float> pub(total,
                                  std::numeric_limits<float>::quiet_NaN());
-          kernels::sgemm_conv(c.cout, c.out_len, c.batch, d.w.data(),
-                              d.bias.data(), d.x.data(), c.cin, c.out_len,
-                              c.k, 1, c.pad_left(), pub.data(), scratch, &epi);
+          kernels::sgemm_conv(c.cout, c.batch, d.w.data(), d.bias.data(),
+                              d.x.data(), c.cin, c.out_len, c.k, pub.data(),
+                              scratch, &epi);
           expect_bit_equal(pub, expected, "sgemm_conv + epilogue");
         }
       }
     }
   }
   EXPECT_GT(signed_zeros, 0u) << "no case reached y = -0 before the ReLU";
-}
-
-TEST(DirectConv, EpilogueNeedsStrideOne) {
-  const std::vector<float> w(2 * 3 * 4, 0.5f), x(3 * 20, 1.0f), one(2, 1.0f);
-  std::vector<float> out(2 * 9);
-  const kernels::ConvEpilogue epi{one.data(), one.data(), one.data(),
-                                  one.data(), true};
-  kernels::GemmScratch scratch;
-  EXPECT_THROW(kernels::sgemm_conv(2, 9, 1, w.data(), nullptr, x.data(), 3, 20,
-                                   4, 2, 0, out.data(), scratch, &epi),
-               InvalidArgument);
 }
 
 TEST(LinearParity, ForwardAndBackwardMatchReference) {
@@ -644,10 +620,8 @@ TEST(LinearParity, ForwardAndBackwardMatchReference) {
 // ---------------------------------------------------------------------------
 
 TEST(KernelGradcheck, ConvThroughGemmBackend) {
-  for (const auto& p :
-       {ConvShape{2, 2, 3, 5, 1, 14, -1}, ConvShape{1, 3, 2, 4, 2, 13, -1},
-        ConvShape{2, 2, 2, 1, 1, 8, 0}}) {
-    Conv1d conv(p.cin, p.cout, p.k, p.stride, p.pad);
+  for (const auto& p : {ConvShape{2, 2, 3, 5, 14}, ConvShape{2, 2, 2, 1, 8}}) {
+    Conv1d conv(p.cin, p.cout, p.k);
     Rng rng(41);
     he_normal_init(conv.weight().value, rng);
     const auto x = random_tensor({p.batch, p.cin, p.n}, 43);
@@ -657,8 +631,8 @@ TEST(KernelGradcheck, ConvThroughGemmBackend) {
     // by a few ulp vs plain mul+add).
     const auto result = check_layer_gradients(conv, x, /*epsilon=*/4e-3);
     EXPECT_TRUE(result.passed)
-        << "k=" << p.k << " s=" << p.stride
-        << " abs=" << result.max_abs_error << " rel=" << result.max_rel_error;
+        << "k=" << p.k << " abs=" << result.max_abs_error
+        << " rel=" << result.max_rel_error;
   }
 }
 
@@ -724,19 +698,16 @@ TEST(GemmThreaded, BitIdenticalAcrossThreadCounts) {
 TEST(GemmThreaded, ConvBitIdenticalAcrossThreadCounts) {
   kernels::ParallelGrainGuard grain(1);
   struct Shape {
-    std::size_t batch, cin, cout, k, stride, pad, n;
+    std::size_t batch, cin, cout, k, n;
   };
   // batch > 1 exercises the batch partition (including a ragged 5-way
   // split), batch == 1 the out-channel partition in whole register blocks
-  // (cout 16 is two blocks of the 8-row tile, four of the 4-row ones);
-  // stride 2 covers the strided packing path. Stride-1 shapes also run
-  // with an epilogue, which every channel chunk must slice with its rows.
+  // (cout 16 is two blocks of the 8-row tile, four of the 4-row ones).
+  // Every shape also runs with an epilogue, which every channel chunk must
+  // slice with its rows.
   for (const auto& p :
-       {Shape{5, 3, 8, 7, 1, 3, 40}, Shape{1, 4, 32, 5, 1, 2, 33},
-        Shape{3, 2, 12, 6, 2, 2, 37}, Shape{8, 1, 16, 64, 1, 31, 192},
-        Shape{1, 16, 16, 64, 1, 31, 384}}) {
-    const std::size_t out_len =
-        kernels::conv_output_length(p.n, p.k, p.stride, p.pad, p.pad);
+       {Shape{5, 3, 8, 7, 40}, Shape{1, 4, 32, 5, 33}, Shape{8, 1, 16, 64, 192},
+        Shape{1, 16, 16, 64, 384}}) {
     const auto w = random_vec(p.cout * p.cin * p.k, 501);
     const auto bias = random_vec(p.cout, 503);
     const auto x = random_vec(p.batch * p.cin * p.n, 505);
@@ -749,25 +720,22 @@ TEST(GemmThreaded, ConvBitIdenticalAcrossThreadCounts) {
                                         gamma.data(), beta.data(), true};
     for (const kernels::ConvEpilogue* epi :
          {static_cast<const kernels::ConvEpilogue*>(nullptr), &bn_relu}) {
-      if (epi != nullptr && p.stride != 1) continue;
       SCOPED_TRACE(epi != nullptr ? "with epilogue" : "plain");
-      std::vector<float> out_ref(p.batch * p.cout * out_len);
+      std::vector<float> out_ref(p.batch * p.cout * p.n);
       {
         kernels::IntraOpGuard intra(1);
         kernels::GemmScratch scratch;
-        kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
-                            x.data(), p.cin, p.n, p.k, p.stride, p.pad,
-                            out_ref.data(), scratch, epi);
+        kernels::sgemm_conv(p.cout, p.batch, w.data(), bias.data(), x.data(),
+                            p.cin, p.n, p.k, out_ref.data(), scratch, epi);
       }
       for (std::size_t threads : {2u, 3u, 4u, 8u}) {
         SCOPED_TRACE("budget " + std::to_string(threads));
         kernels::IntraOpGuard intra(threads);
         kernels::GemmScratch scratch;
-        std::vector<float> out(p.batch * p.cout * out_len,
+        std::vector<float> out(p.batch * p.cout * p.n,
                                std::numeric_limits<float>::quiet_NaN());
-        kernels::sgemm_conv(p.cout, out_len, p.batch, w.data(), bias.data(),
-                            x.data(), p.cin, p.n, p.k, p.stride, p.pad,
-                            out.data(), scratch, epi);
+        kernels::sgemm_conv(p.cout, p.batch, w.data(), bias.data(), x.data(),
+                            p.cin, p.n, p.k, out.data(), scratch, epi);
         expect_bit_equal(out, out_ref, "threaded conv");
       }
     }
@@ -779,7 +747,7 @@ TEST(GemmThreaded, GradcheckThroughThreadedBackward) {
   kernels::IntraOpGuard intra(4);
   // out_len 70 >= 2 * kMinColsPerChunk, so the backward dX/dW products
   // actually split under the 4-thread budget.
-  Conv1d conv(2, 3, 5, 1, -1);
+  Conv1d conv(2, 3, 5);
   Rng rng(41);
   he_normal_init(conv.weight().value, rng);
   // FD step larger again than the 4e-3 of the unthreaded gradchecks: the
@@ -808,7 +776,7 @@ std::vector<float> train_tiny_stack(std::size_t threads) {
   kernels::ParallelGrainGuard grain(1);
   kernels::IntraOpGuard intra(threads);
   const std::size_t batch = 6, cin = 2, cout = 4, n = 20, classes = 3;
-  Conv1d conv(cin, cout, 5, 1, -1);
+  Conv1d conv(cin, cout, 5);
   const std::size_t out_len = conv.output_length(n);
   Linear lin(cout * out_len, classes);
   Rng rng(71);
@@ -855,60 +823,15 @@ TEST(GemmThreaded, TrainingBitParityAcrossThreadBudgets) {
 }
 
 // ---------------------------------------------------------------------------
-// MaxPool1d
-// ---------------------------------------------------------------------------
-
-TEST(MaxPool, KnownValues) {
-  MaxPool1d pool(2);  // stride defaults to kernel (non-overlapping)
-  const auto y = pool.forward(
-      Tensor::from_data({1, 1, 6}, {1.f, 3.f, -2.f, -5.f, 7.f, 7.f}));
-  ASSERT_EQ(y.dim(2), 3u);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 3.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), -2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 2), 7.f);
-}
-
-TEST(MaxPool, OverlappingStride) {
-  MaxPool1d pool(3, 1);
-  const auto y =
-      pool.forward(Tensor::from_data({1, 1, 5}, {0.f, 1.f, 2.f, 1.f, 0.f}));
-  ASSERT_EQ(y.dim(2), 3u);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 0), 2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 1), 2.f);
-  EXPECT_FLOAT_EQ(y.at(0, 0, 2), 2.f);
-}
-
-TEST(MaxPool, Gradient) {
-  for (std::size_t stride : {0u, 1u, 2u}) {
-    MaxPool1d pool(3, stride);
-    const auto result =
-        check_layer_gradients(pool, random_tensor({2, 2, 9}, 59));
-    EXPECT_TRUE(result.passed) << "stride=" << stride;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Pointwise kernels
 // ---------------------------------------------------------------------------
 
-TEST(Pointwise, BiasReluRowsFusesBothOps) {
-  std::vector<float> c = {-1.f, 0.5f, 1.f, -2.f};
-  const std::vector<float> bias = {0.25f, 1.f};
-  kernels::bias_relu_rows(c.data(), bias.data(), 2, 2);
-  EXPECT_FLOAT_EQ(c[0], 0.0f);   // -1 + 0.25 clamped
-  EXPECT_FLOAT_EQ(c[1], 0.75f);
-  EXPECT_FLOAT_EQ(c[2], 2.0f);   // 1 + 1
-  EXPECT_FLOAT_EQ(c[3], 0.0f);
-}
-
-TEST(Pointwise, AxpyAndAdd) {
+TEST(Pointwise, AddInplace) {
   std::vector<float> y = {1.f, 2.f};
   const std::vector<float> x = {10.f, -10.f};
-  kernels::axpy(2, 0.5f, x.data(), y.data());
-  EXPECT_FLOAT_EQ(y[0], 6.f);
-  EXPECT_FLOAT_EQ(y[1], -3.f);
   kernels::add_inplace(2, x.data(), y.data());
-  EXPECT_FLOAT_EQ(y[0], 16.f);
+  EXPECT_FLOAT_EQ(y[0], 11.f);
+  EXPECT_FLOAT_EQ(y[1], -8.f);
 }
 
 TEST(Pointwise, ScaleShiftAndNormalize) {

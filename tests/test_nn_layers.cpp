@@ -42,15 +42,26 @@ TEST(Conv1d, SamePaddingPreservesLength) {
   }
 }
 
-TEST(Conv1d, StrideReducesLength) {
-  Conv1d conv(1, 2, 8, /*stride=*/4);
-  const auto out = conv.forward(random_input({1, 1, 64}, 1));
-  EXPECT_EQ(out.dim(2), conv.output_length(64));
-  EXPECT_EQ(out.dim(2), (64 + 7 - 8) / 4 + 1);
+TEST(Conv1d, EmptyTemporalAxisThrowsInvalidArgument) {
+  // Same padding keeps every length n >= 1; n == 0 is a typed error on
+  // both the batched forward and the depth-first eval step.
+  for (std::size_t k : {1u, 64u}) {
+    SCOPED_TRACE("kernel " + std::to_string(k));
+    Conv1d conv(2, 4, k);
+    conv.set_training(false);
+    EXPECT_THROW(conv.forward(Tensor({3, 2, 0})), InvalidArgument);
+    const float unused = 0.0f;
+    Item in;
+    in.data = &unused;
+    in.dims = {2, 0};
+    in.rank = 2;
+    EvalLane lane;
+    EXPECT_THROW(conv.eval_item(in, lane), InvalidArgument);
+  }
 }
 
 TEST(Conv1d, IdentityKernelCopiesInput) {
-  Conv1d conv(1, 1, 1, 1, 0);
+  Conv1d conv(1, 1, 1);
   conv.weight().value.at(0) = 1.0f;
   conv.bias().value.at(0) = 0.0f;
   const auto x = random_input({1, 1, 10}, 2);
@@ -74,7 +85,7 @@ TEST(Conv1d, KnownValueWithZeroPadding) {
 }
 
 TEST(Conv1d, BiasIsAdded) {
-  Conv1d conv(1, 1, 1, 1, 0);
+  Conv1d conv(1, 1, 1);
   conv.weight().value.at(0) = 0.f;
   conv.bias().value.at(0) = 2.5f;
   const auto y = conv.forward(random_input({1, 1, 4}, 3));
@@ -87,14 +98,14 @@ TEST(Conv1d, WrongChannelCountThrows) {
 }
 
 struct ConvCase {
-  std::size_t cin, cout, kernel, stride, n;
+  std::size_t cin, cout, kernel, n;
 };
 
 class ConvGradient : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvGradient, MatchesFiniteDifferences) {
   const auto p = GetParam();
-  Conv1d conv(p.cin, p.cout, p.kernel, p.stride);
+  Conv1d conv(p.cin, p.cout, p.kernel);
   Rng rng(11);
   he_normal_init(conv.weight().value, rng);
   const auto x = random_input({2, p.cin, p.n}, 5);
@@ -105,9 +116,8 @@ TEST_P(ConvGradient, MatchesFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, ConvGradient,
-    ::testing::Values(ConvCase{1, 2, 3, 1, 12}, ConvCase{2, 3, 5, 1, 10},
-                      ConvCase{1, 1, 4, 1, 9}, ConvCase{2, 2, 3, 2, 11},
-                      ConvCase{3, 1, 1, 1, 6}));
+    ::testing::Values(ConvCase{1, 2, 3, 12}, ConvCase{2, 3, 5, 10},
+                      ConvCase{1, 1, 4, 9}, ConvCase{3, 1, 1, 6}));
 
 // ---------------------------------------------------------------------------
 // BatchNorm1d

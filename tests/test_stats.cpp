@@ -90,12 +90,6 @@ TEST(Stats, MinMaxArg) {
   const std::vector<float> v = {3.f, -1.f, 7.f, 0.f};
   EXPECT_FLOAT_EQ(min_value(v), -1.f);
   EXPECT_FLOAT_EQ(max_value(v), 7.f);
-  EXPECT_EQ(argmax(v), 2u);
-}
-
-TEST(Stats, ArgmaxFirstOccurrence) {
-  const std::vector<float> v = {1.f, 5.f, 5.f};
-  EXPECT_EQ(argmax(v), 1u);
 }
 
 TEST(Stats, RunningMomentsMatchBatch) {

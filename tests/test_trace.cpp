@@ -174,11 +174,6 @@ TEST(NoiseApps, TableLookupPhaseContainsSbox) {
   EXPECT_EQ(sbox, 100u);  // every 4th instruction
 }
 
-TEST(NoiseApps, PhaseNames) {
-  EXPECT_EQ(noise_phase_name(NoisePhase::kMemoryBurst), "memory-burst");
-  EXPECT_EQ(noise_phase_name(NoisePhase::kMixed), "mixed");
-}
-
 // ---------------------------------------------------------------------------
 // Acquisition model
 // ---------------------------------------------------------------------------

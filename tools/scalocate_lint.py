@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """scalocate custom lint: repo contracts no generic analyzer knows about.
 
-Four rules, each enforcing an invariant a previous PR established and that
+Five rules, each enforcing an invariant the codebase relies on and that
 clang-tidy / compiler warnings cannot see:
 
   memory-order    std::memory_order uses are confined to an allowlisted set
@@ -21,6 +21,16 @@ clang-tidy / compiler warnings cannot see:
   header-using    headers contain no `using namespace` at namespace scope
                   (function-local is fine); a header-level using-directive
                   injects names into every includer.
+  test-only-api   every namespace-scope function declared in a src/ header
+                  is named on some line under src/, bench/, examples/ or
+                  perfbench/ other than its own declarations and
+                  definitions, so code that only tests call cannot
+                  accumulate in the library; the exceptions (test oracles)
+                  are listed in TEST_ONLY_API_ALLOWLIST with a reason, and
+                  an entry that names no declared function or whose
+                  function has gained such a caller is flagged stale.
+                  Member functions are out of scope (matching them needs a
+                  C++ parser).
 
 Usage:  python3 tools/scalocate_lint.py [--root DIR] [--rule NAME]
 Exit status is non-zero iff any finding is reported. Run from anywhere;
@@ -352,6 +362,110 @@ def check_header_using(root: Path) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# Rule: test-only-api
+# ---------------------------------------------------------------------------
+
+# Namespace-scope functions that may stay without a caller outside tests/,
+# each with the reason: the oracles the parity tests compare against, and
+# the tests' access to the tiles dispatch does not pick.
+TEST_ONLY_API_ALLOWLIST = {
+    "check_layer_gradients": "finite-difference gradient checker: the "
+                             "oracle of every layer's backward in tests/",
+    "conv1d_backward_naive": "naive conv backward: the oracle of the "
+                             "im2col + GEMM backward (ConvParity)",
+    "linear_forward_naive": "naive Linear forward: the oracle of the GEMM "
+                            "forward (LinearParity)",
+    "linear_backward_naive": "naive Linear backward: the oracle of the "
+                             "GEMM backward (LinearParity)",
+    "tiles": "the kernel tile table, so the kernel tests run every tile the "
+             "host supports, not only the dispatched one (dispatched_tile() "
+             "reads the table directly)",
+}
+
+# Directories whose code counts as a caller.
+_CALLER_DIRS = ("src", "bench", "examples", "perfbench")
+
+# An unindented line that declares or defines a function: a return type,
+# then the name and its opening parenthesis. Namespace bodies are not
+# indented in this tree, so class members (indented) never match, and
+# neither do qualified out-of-class definitions (`Foo::bar(`).
+_FUNC_DECL = re.compile(
+    r"^(?!(?:return|using|namespace|class|struct|enum|typedef|template|"
+    r"friend|static_assert|if|for|while|switch|else|case|do)\b)"
+    r"[A-Za-z_\[][\w:<>,*&\s\[\]]*?[\s*&>]([A-Za-z_]\w*)\s*\(")
+
+
+def _code_lines(path: Path) -> list[str]:
+    return _strip_comments_and_strings(path.read_text()).splitlines()
+
+
+def _declared_name(line: str) -> str | None:
+    m = _FUNC_DECL.match(line)
+    if not m or m.group(1) == "operator":
+        return None
+    return m.group(1)
+
+
+def _test_only_functions(root: Path) -> tuple[dict[str, str], set[str]]:
+    """(name -> 'path:line' of its first header declaration, names that
+    have a caller) for every namespace-scope function declared in a
+    header under src/."""
+    declared: dict[str, str] = {}
+    for path in _cxx_files(root):
+        if path.suffix != ".hpp":
+            continue
+        rel = path.relative_to(root).as_posix()
+        for lineno, line in enumerate(_code_lines(path), 1):
+            name = _declared_name(line)
+            if name and name not in declared:
+                declared[name] = f"{rel}:{lineno}"
+    words = re.compile(r"[A-Za-z_]\w*")
+    called: set[str] = set()
+    for top in _CALLER_DIRS:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".cpp", ".hpp"):
+                continue
+            for line in _code_lines(path):
+                own = _declared_name(line)
+                for word in set(words.findall(line)):
+                    if word in declared and word != own:
+                        called.add(word)
+    return declared, called
+
+
+def check_test_only_api(root: Path,
+                        allowlist: dict[str, str] | None = None) -> list[str]:
+    """Flags header functions without a caller outside tests/ and stale
+    allowlist entries. Fixture trees pass their own allowlist."""
+    allowlist = TEST_ONLY_API_ALLOWLIST if allowlist is None else allowlist
+    declared, called = _test_only_functions(root)
+    findings = []
+    for name, site in sorted(declared.items(), key=lambda kv: kv[1]):
+        if name not in called and name not in allowlist:
+            findings.append(
+                f"{site}: [test-only-api] {name}() is declared in a src/ "
+                f"header but nothing under src/, bench/, examples/ or "
+                f"perfbench/ calls it; delete it (with its tests) or add it "
+                f"to TEST_ONLY_API_ALLOWLIST in tools/scalocate_lint.py "
+                f"with a reason")
+    for name in sorted(allowlist):
+        if name not in declared:
+            findings.append(
+                f"tools/scalocate_lint.py: [test-only-api] "
+                f"TEST_ONLY_API_ALLOWLIST entry '{name}' names no function "
+                f"declared in a src/ header; remove the stale entry")
+        elif name in called:
+            findings.append(
+                f"tools/scalocate_lint.py: [test-only-api] "
+                f"TEST_ONLY_API_ALLOWLIST entry '{name}' has a caller "
+                f"outside tests/ now; remove the stale entry")
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -360,6 +474,7 @@ RULES = {
     "error-taxonomy": check_error_taxonomy,
     "metric-drift": check_metric_drift,
     "header-using": check_header_using,
+    "test-only-api": check_test_only_api,
 }
 
 

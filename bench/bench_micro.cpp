@@ -7,9 +7,7 @@
 // Besides the console report, every run is collected into BENCH_micro.json
 // (custom main below): the dispatched kernel tile, per-case times plus a
 // flat "gflops" map keyed by case name — the fields the perf-regression CI
-// job gates on — and, when the library was built with SCALOCATE_PROFILE,
-// the global registry's kernel FLOP counters and per-shape timing
-// histograms.
+// job gates on.
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -22,7 +20,7 @@
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/reference.hpp"
 #include "nn/kernels/tiles.hpp"
-#include "obs/registry.hpp"
+#include "obs/json.hpp"
 #include "sca/cpa.hpp"
 #include "trace/scenario.hpp"
 #include "trace/soc_simulator.hpp"
@@ -435,10 +433,6 @@ int main(int argc, char** argv) {
     }
     json.end_object();
   }
-  // Kernel-layer telemetry (counters advance only under SCALOCATE_PROFILE;
-  // otherwise this snapshot is empty).
-  json.key("metrics");
-  obs::Registry::global().render_json_into(json);
   json.end_object();
   bench::write_bench_json("micro", json);
 

@@ -58,16 +58,6 @@ std::vector<float> moving_average(std::span<const float> xs, std::size_t k) {
   return out;
 }
 
-std::vector<float> standardize(std::span<const float> xs) {
-  const double m = stats::mean(xs);
-  const double sd = stats::stddev(xs);
-  std::vector<float> out(xs.size());
-  if (sd <= 0.0) return out;
-  for (std::size_t i = 0; i < xs.size(); ++i)
-    out[i] = static_cast<float>((static_cast<double>(xs[i]) - m) / sd);
-  return out;
-}
-
 std::vector<float> normalized_cross_correlate(std::span<const float> signal,
                                               std::span<const float> kernel) {
   detail::require(kernel.size() >= 2,

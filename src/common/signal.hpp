@@ -31,10 +31,6 @@ std::vector<float> median_filter(std::span<const float> xs, std::size_t k);
 /// Moving average of window k (k >= 1); same-length output, borders shrink.
 std::vector<float> moving_average(std::span<const float> xs, std::size_t k);
 
-/// Subtracts the mean and divides by the standard deviation. A zero-variance
-/// signal is returned as all zeros.
-std::vector<float> standardize(std::span<const float> xs);
-
 /// Normalized cross-correlation (Pearson at each lag, in [-1,1]):
 /// the sliding-window correlation used by the waveform-matching
 /// baseline [11]. Output length: len(signal)-len(kernel)+1.

@@ -6,20 +6,16 @@ namespace scalocate::core {
 
 AlignedTraces align_cos(std::span<const float> trace_samples,
                         const std::vector<std::size_t>& co_starts,
-                        std::size_t segment_length,
-                        std::ptrdiff_t start_offset) {
+                        std::size_t segment_length) {
   detail::require(segment_length >= 1, "align_cos: segment_length must be >= 1");
   AlignedTraces out;
   out.segment_length = segment_length;
   for (std::size_t start : co_starts) {
-    std::ptrdiff_t cut = static_cast<std::ptrdiff_t>(start) + start_offset;
-    if (cut < 0) cut = 0;
-    const auto cut_u = static_cast<std::size_t>(cut);
-    if (cut_u + segment_length > trace_samples.size()) continue;
+    if (start + segment_length > trace_samples.size()) continue;
     out.segments.emplace_back(
-        trace_samples.begin() + static_cast<std::ptrdiff_t>(cut_u),
-        trace_samples.begin() + static_cast<std::ptrdiff_t>(cut_u + segment_length));
-    out.origins.push_back(cut_u);
+        trace_samples.begin() + static_cast<std::ptrdiff_t>(start),
+        trace_samples.begin() + static_cast<std::ptrdiff_t>(start + segment_length));
+    out.origins.push_back(start);
   }
   return out;
 }

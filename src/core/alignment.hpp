@@ -18,11 +18,9 @@ struct AlignedTraces {
 
 /// Cuts `segment_length` samples at each located start. Starts too close to
 /// the end of the trace to fit a full segment are dropped (their origin is
-/// not included). An optional `start_offset` shifts every cut point (e.g.
-/// to skip the locator's systematic lead); negative shifts clamp at 0.
+/// not included).
 AlignedTraces align_cos(std::span<const float> trace_samples,
                         const std::vector<std::size_t>& co_starts,
-                        std::size_t segment_length,
-                        std::ptrdiff_t start_offset = 0);
+                        std::size_t segment_length);
 
 }  // namespace scalocate::core

@@ -54,8 +54,6 @@ class Tracer {
     if (sink_ != nullptr) sink_->on_event(DataEvent{op, value, width});
   }
 
-  bool active() const { return sink_ != nullptr; }
-
  private:
   EventSink* sink_;
 };

@@ -28,30 +28,28 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
   const std::size_t count = batch * n;
 
   Tensor out(input.shape());
-  // Unlike the stateless layers, the xhat cache is kept in eval mode too:
-  // eval-mode BatchNorm backward is part of the tested layer contract
-  // (statistics become constants but parameter gradients still need xhat).
   Workspace::Slot& slot = ws.slot(this);
-  slot.a = Tensor(input.shape());  // normalized activations (xhat)
-  slot.scalars.assign(channels_, 0.0f);  // per-channel 1/std
-  Tensor& cached_normalized = slot.a;
-  std::vector<float>& cached_inv_std = slot.scalars;
-
   if (!training_) {
-    // Eval (serving) path: fused single-precision normalize + affine —
-    // one pass writes both the xhat cache and the output row.
-    const kernels::ConvEpilogue affine = eval_affine(cached_inv_std.data());
+    // Eval path: fused single-precision normalize + affine. The
+    // backward-only caches are skipped (see Conv1d::forward).
+    slot = {};
+    std::vector<float> inv_std(channels_);
+    const kernels::ConvEpilogue affine = eval_affine(inv_std.data());
     for (std::size_t c = 0; c < channels_; ++c) {
       for (std::size_t b = 0; b < batch; ++b) {
         const std::size_t off = (b * channels_ + c) * n;
-        kernels::normalize_scale_shift(
-            n, input.data() + off, affine.mean[c], affine.inv_std[c],
-            affine.gamma[c], affine.beta[c], cached_normalized.data() + off,
-            out.data() + off);
+        kernels::normalize_scale_shift(n, input.data() + off, affine.mean[c],
+                                       affine.inv_std[c], affine.gamma[c],
+                                       affine.beta[c], out.data() + off);
       }
     }
     return out;
   }
+
+  slot.a = Tensor(input.shape());  // normalized activations (xhat)
+  slot.scalars.assign(channels_, 0.0f);  // per-channel 1/std
+  Tensor& cached_normalized = slot.a;
+  std::vector<float>& cached_inv_std = slot.scalars;
 
   for (std::size_t c = 0; c < channels_; ++c) {
     double mean = 0.0;
@@ -113,11 +111,11 @@ Item BatchNorm1d::eval_item(const Item& in, EvalLane& lane) const {
   const std::size_t n = in.dims[1];
   const kernels::ConvEpilogue affine = eval_affine(lane.push(channels_));
   float* y = lane.output_for(in);
-  // forward's eval branch per channel row, minus the xhat cache.
+  // forward's eval branch per channel row.
   for (std::size_t c = 0; c < channels_; ++c)
     kernels::normalize_scale_shift(n, in.data + c * n, affine.mean[c],
                                    affine.inv_std[c], affine.gamma[c],
-                                   affine.beta[c], nullptr, y + c * n);
+                                   affine.beta[c], y + c * n);
   return in.with_data(y);
 }
 
@@ -148,23 +146,13 @@ Tensor BatchNorm1d::backward(const Tensor& grad_output, Workspace& ws) {
 
     const double g = gamma_.value.at(c);
     const double inv_std = slot.scalars[c];
-    const auto coeff = static_cast<float>(g * inv_std);
-    if (training_) {
-      // dL/dx = gamma * inv_std * (g_i - mean(g) - xhat_i * mean(g*xhat)),
-      // all-double like the forward normalize (training numerics fixed).
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t off = (b * channels_ + c) * n;
-        kernels::bn_input_grad(n, grad_output.data() + off, xhat.data() + off,
-                               g * inv_std, sum_g / count, sum_g_xhat / count,
-                               grad_input.data() + off);
-      }
-    } else {
-      // Eval mode: statistics are constants, the gradient is a pure scale.
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t off = (b * channels_ + c) * n;
-        kernels::scale_shift(n, grad_output.data() + off, coeff, 0.0f,
+    // dL/dx = gamma * inv_std * (g_i - mean(g) - xhat_i * mean(g*xhat)),
+    // all-double like the forward normalize (training numerics fixed).
+    for (std::size_t b = 0; b < batch; ++b) {
+      const std::size_t off = (b * channels_ + c) * n;
+      kernels::bn_input_grad(n, grad_output.data() + off, xhat.data() + off,
+                             g * inv_std, sum_g / count, sum_g_xhat / count,
                              grad_input.data() + off);
-      }
     }
   }
   return grad_input;

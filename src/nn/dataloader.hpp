@@ -34,7 +34,6 @@ class DataLoader {
   bool next(Batch& out);
 
   std::size_t size() const { return windows_.size(); }
-  std::size_t window_length() const { return window_length_; }
 
  private:
   std::vector<std::vector<float>> windows_;

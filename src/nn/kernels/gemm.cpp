@@ -27,48 +27,7 @@ inline vf fmadd(vf a, vf b, vf c) { return a * b + c; }
 
 #include "nn/kernels/gemm_blocked.hpp"
 
-#if defined(SCALOCATE_PROFILE)
-#include <map>
-#include <string>
-#include <tuple>
-
-#include "obs/registry.hpp"
-#include "obs/span.hpp"
-#endif
-
 namespace scalocate::nn::kernels {
-
-#if defined(SCALOCATE_PROFILE)
-// Compile-time-gated kernel telemetry: FLOP counters plus per-shape timing
-// histograms in the process-wide registry (obs::Registry::global()).
-// Everything below compiles away when SCALOCATE_PROFILE is off, so the
-// release hot path stays untouched — this block may lock/allocate on first
-// sight of a shape, which is exactly why it is not an always-on feature.
-namespace {
-
-obs::Counter& profile_counter(const char* name) {
-  return obs::Registry::global().counter(name);
-}
-
-/// Registry histogram for one (kind, m, n, k) shape, resolved through the
-/// registry mutex once per shape per thread and cached thread-locally.
-obs::Histogram& shape_histogram(const char* kind, std::size_t m,
-                                std::size_t n, std::size_t k) {
-  using Key = std::tuple<const char*, std::size_t, std::size_t, std::size_t>;
-  thread_local std::map<Key, obs::Histogram*> cache;
-  const Key key{kind, m, n, k};
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    const std::string name = std::string("kernels.") + kind + "." +
-                             std::to_string(m) + "x" + std::to_string(n) +
-                             "x" + std::to_string(k) + ".ns";
-    it = cache.emplace(key, &obs::Registry::global().histogram(name)).first;
-  }
-  return *it->second;
-}
-
-}  // namespace
-#endif  // SCALOCATE_PROFILE
 
 namespace detail {
 
@@ -198,13 +157,6 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     }
     return;
   }
-#if defined(SCALOCATE_PROFILE)
-  static obs::Counter& calls = profile_counter("kernels.gemm.calls");
-  static obs::Counter& flops = profile_counter("kernels.gemm.flops");
-  calls.add();
-  flops.add(2ull * m * n * k);
-  obs::SpanTimer span(shape_histogram("gemm", m, n, k));
-#endif
   // Every chunk of a threaded call runs the same single-threaded tile.
   const detail::GemmEntry sgemm_st = detail::dispatched_tile().gemm;
   const std::size_t budget = intra_op_threads();
@@ -243,13 +195,6 @@ void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
                 std::size_t n, std::size_t kernel, float* out,
                 GemmScratch& scratch, const ConvEpilogue* epilogue) {
   if (cout == 0 || n == 0 || batch == 0) return;
-#if defined(SCALOCATE_PROFILE)
-  static obs::Counter& calls = profile_counter("kernels.conv.calls");
-  static obs::Counter& flops = profile_counter("kernels.conv.flops");
-  calls.add();
-  flops.add(2ull * batch * cout * n * cin * kernel);
-  obs::SpanTimer span(shape_histogram("conv", cout, n, cin * kernel));
-#endif
   const detail::Tile& tile = detail::dispatched_tile();
   const detail::ConvEntry sgemm_conv_st = tile.conv;
   const std::size_t budget = intra_op_threads();

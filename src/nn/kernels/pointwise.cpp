@@ -42,33 +42,12 @@ void row_sums_add(const float* c, std::size_t rows, std::size_t cols,
   }
 }
 
-void scale_shift(std::size_t n, const float* x, float a, float b, float* y) {
-  for (std::size_t i = 0; i < n; ++i) y[i] = a * x[i] + b;
-}
-
-namespace {
-
-// One expression for both forms, so the cached and uncached rows cannot
-// round differently.
-template <bool kCacheXhat>
-void normalize_row(std::size_t n, const float* x, float mean, float inv_std,
-                   float gamma, float beta, float* xhat, float* y) {
+void normalize_scale_shift(std::size_t n, const float* x, float mean,
+                           float inv_std, float gamma, float beta, float* y) {
   for (std::size_t i = 0; i < n; ++i) {
     const float h = (x[i] - mean) * inv_std;
-    if constexpr (kCacheXhat) xhat[i] = h;
     y[i] = gamma * h + beta;
   }
-}
-
-}  // namespace
-
-void normalize_scale_shift(std::size_t n, const float* x, float mean,
-                           float inv_std, float gamma, float beta, float* xhat,
-                           float* y) {
-  if (xhat != nullptr)
-    normalize_row<true>(n, x, mean, inv_std, gamma, beta, xhat, y);
-  else
-    normalize_row<false>(n, x, mean, inv_std, gamma, beta, nullptr, y);
 }
 
 void bn_input_grad(std::size_t n, const float* g, const float* xhat,

@@ -45,15 +45,10 @@ void row_sums_add(const float* c, std::size_t rows, std::size_t cols,
 
 // --- BatchNorm scale-shift ------------------------------------------------
 
-/// y = a * x + b (per-channel affine with scalar a, b).
-void scale_shift(std::size_t n, const float* x, float a, float b, float* y);
-
-/// Fused BatchNorm forward row: xhat = (x - mean) * inv_std and
-/// y = gamma * xhat + beta in one pass. `xhat` may be null (no cache: the
-/// depth-first eval step), and `y` may alias `x`; y is the same either way.
+/// Fused BatchNorm eval row: y = gamma * ((x - mean) * inv_std) + beta in
+/// one pass. `y` may alias `x`.
 void normalize_scale_shift(std::size_t n, const float* x, float mean,
-                           float inv_std, float gamma, float beta, float* xhat,
-                           float* y);
+                           float inv_std, float gamma, float beta, float* y);
 
 /// Training-mode BatchNorm input gradient for one row:
 /// gx = coeff * (g - mean_g - xhat * mean_g_xhat), coeff = gamma * inv_std.

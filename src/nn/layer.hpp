@@ -140,13 +140,10 @@ class Workspace {
 /// statistics, which are updated in training mode only (training-mode
 /// forward passes are therefore not thread-safe; eval-mode passes are).
 ///
-/// In eval mode no backward-only cache is kept on the serving path: the
-/// containers' depth-first forward caches nothing and clears the
-/// workspace's slots, and the stateless leaves' own batched forward
-/// clears their slot, so backward after an eval-mode forward throws. The
-/// one exception is BatchNorm1d's own batched forward, which still caches
-/// xhat in eval mode: its eval-mode backward is part of the tested
-/// contract.
+/// In eval mode no backward-only cache is kept: the containers'
+/// depth-first forward caches nothing and clears the workspace's slots,
+/// and each leaf's own batched forward clears its slot, so backward after
+/// an eval-mode forward throws.
 class Layer {
  public:
   virtual ~Layer() = default;

@@ -20,8 +20,6 @@ class Linear final : public Layer {
 
   Param& weight() { return weight_; }
   Param& bias() { return bias_; }
-  std::size_t in_features() const { return in_features_; }
-  std::size_t out_features() const { return out_features_; }
 
  private:
   std::size_t in_features_, out_features_;

@@ -16,11 +16,6 @@ double percentile_sorted(std::span<const double> sorted, double q) {
   return sorted[lo] * (1.0 - frac) + sorted[lo + 1] * frac;
 }
 
-double percentile(std::vector<double> values, double q) {
-  std::sort(values.begin(), values.end());
-  return percentile_sorted(values, q);
-}
-
 std::size_t Histogram::bucket_index(std::uint64_t value) noexcept {
   if (value < kSubBuckets) return static_cast<std::size_t>(value);
   const int msb = 63 - std::countl_zero(value);

@@ -1,5 +1,5 @@
 // Fixed-bucket log-scale histogram for latency/size distributions, plus the
-// system-wide exact-percentile helpers (the one sorted-sample quantile
+// system-wide exact-percentile helper (the one sorted-sample quantile
 // implementation).
 //
 // Design constraints (serving hot path):
@@ -25,17 +25,13 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace scalocate::obs {
 
-/// Linear-interpolated percentile over unsorted samples, q clamped into
-/// [0, 1]. Empty input returns 0. This is THE exact-percentile
+/// Linear-interpolated percentile over samples sorted ascending, q clamped
+/// into [0, 1]. Empty input returns 0. This is THE exact-percentile
 /// implementation of the codebase; Histogram::Snapshot::quantile uses the
 /// same rank convention (pos = q * (n - 1)) over its merged buckets.
-double percentile(std::vector<double> values, double q);
-
-/// Same, over samples the caller has already sorted ascending.
 double percentile_sorted(std::span<const double> sorted, double q);
 
 class Histogram {

@@ -105,12 +105,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  comma();
-  out_ += "null";
-  return *this;
-}
-
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());

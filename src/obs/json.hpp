@@ -36,7 +36,6 @@ class JsonWriter {
   JsonWriter& value(std::int64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   /// Shorthand for key(name) + value(v).
   template <typename T>

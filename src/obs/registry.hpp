@@ -13,16 +13,16 @@
 //
 // Instrument naming scheme (dot-separated, lowercase, unit suffix on time
 // series): `<layer>.<model-or-shape>.<metric>[_<unit>]`, e.g.
-// `engine.aes.latency_ns`, `stream.camellia.samples_fed`,
-// `kernels.gemm.flops`. See README "Observability".
+// `engine.aes.latency_ns`, `stream.camellia.samples_fed`, `pool.tasks`.
+// See README "Observability".
 //
 // Snapshots render every instrument, sorted by name within kind, in two
 // formats: render_text() for humans, render_json() for machines (the
 // BENCH_*.json spine). Both are deterministic for a fixed set of
 // instruments and values, regardless of registration order.
 //
-// Registry::global() is the process-wide instance; the compile-time
-// SCALOCATE_PROFILE kernel instrumentation and ad-hoc tooling record there.
+// Registry::global() is the process-wide instance; the default stream
+// instruments and ad-hoc tooling record there.
 // Subsystems that need isolation (tests, per-row bench runs) construct
 // their own Registry and pass it down via config structs.
 #pragma once

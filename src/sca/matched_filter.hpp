@@ -43,7 +43,6 @@ class MatchedFilterLocator {
 
   bool is_fitted() const { return fitted_; }
   std::span<const float> template_waveform() const { return template_; }
-  float threshold_used() const { return threshold_; }
   /// Calibration diagnostic: mean NCC response at held-out true starts.
   double calibration_response() const { return calibration_response_; }
 

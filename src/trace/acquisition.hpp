@@ -43,9 +43,6 @@ class AcquisitionModel {
 
   const AcquisitionConfig& config() const { return config_; }
 
-  /// Current AGC gain (1.0 until the first gain step fires).
-  double gain() const { return gain_; }
-
  private:
   AcquisitionConfig config_;
   Rng rng_;

@@ -30,20 +30,6 @@ TEST(Alignment, DropsSegmentsPastEnd) {
   EXPECT_EQ(a.origins[0], 90u);
 }
 
-TEST(Alignment, PositiveOffsetShiftsCut) {
-  const auto trace = ramp(100);
-  const auto a = align_cos(trace, {10}, 5, 3);
-  EXPECT_FLOAT_EQ(a.segments[0][0], 13.f);
-}
-
-TEST(Alignment, NegativeOffsetClampsAtZero) {
-  const auto trace = ramp(100);
-  const auto a = align_cos(trace, {2}, 5, -10);
-  ASSERT_EQ(a.segments.size(), 1u);
-  EXPECT_FLOAT_EQ(a.segments[0][0], 0.f);
-  EXPECT_EQ(a.origins[0], 0u);
-}
-
 TEST(Alignment, EmptyStartsGiveEmptyResult) {
   const auto trace = ramp(10);
   const auto a = align_cos(trace, {}, 5);

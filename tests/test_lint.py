@@ -19,6 +19,7 @@ import sys
 import tempfile
 import unittest
 from pathlib import Path
+from unittest import mock
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "tools"))
@@ -150,7 +151,8 @@ class MetricDriftRule(unittest.TestCase):
             "`engine.<model>.requests` counter",
             "`engine.<model>.requests` counter, `k.<m>x<n>.ns` histograms")
         with make_tree({"README.md": readme,
-                        "src/svc.cpp": self.CODE}) as root:
+                        "src/svc.cpp": self.CODE}) as root, \
+                mock.patch.dict(lint.DYNAMIC_METRIC_LEAVES, {"ns": "runtime"}):
             findings = lint.check_metric_drift(Path(root))
         # ".ns" has no literal in the fixture code either, but it is a
         # declared dynamic name (DYNAMIC_METRIC_LEAVES), so no finding.
@@ -239,6 +241,29 @@ class TestOnlyApiRule(unittest.TestCase):
         with make_tree(files) as root:
             self.assertEqual(lint.check_test_only_api(
                 Path(root), {"only_tests": "oracle"}), [])
+
+    # One name in two namespaces: a use counts only for the declaration
+    # whose innermost namespace qualifies it or encloses it.
+    TWINS = {"src/k/one.hpp": "namespace one {\nvoid twin(int x);\n}\n",
+             "src/k/two.hpp": "namespace k::two {\nvoid twin(int x);\n}\n"}
+
+    def test_fires_when_one_of_two_same_named_functions_has_a_caller(self):
+        for caller in ("void g() { one::twin(1); }\n",
+                       "namespace one {\nvoid g() { twin(1); }\n}\n"):
+            files = {**self.TWINS, "src/k/c.cpp": caller}
+            with self.subTest(caller=caller), make_tree(files) as root:
+                findings = lint.check_test_only_api(Path(root), {})
+                self.assertEqual(len(findings), 1, findings)
+                self.assertIn("src/k/two.hpp:2", findings[0])
+                self.assertIn("two::twin()", findings[0])
+
+    def test_passes_when_both_same_named_functions_have_callers(self):
+        for caller in ("void g() { one::twin(1); k::two::twin(2); }\n",
+                       "namespace k::two {\nvoid g() { twin(2); }\n}\n"
+                       "void h() { one :: twin(1); }\n"):
+            files = {**self.TWINS, "src/k/c.cpp": caller}
+            with self.subTest(caller=caller), make_tree(files) as root:
+                self.assertEqual(lint.check_test_only_api(Path(root), {}), [])
 
     def test_fires_on_stale_allowlist_entries(self):
         files = self.tree({"src/k/b.cpp": "void g() { only_tests(2); }\n",

@@ -12,6 +12,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "core/model.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
+#include "nn/conv1d.hpp"
 #include "nn/init.hpp"
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
@@ -251,15 +253,33 @@ TEST(DepthFirstEval, FusedConvBlockReadsStatisticsChangedAfterEvalSwitch) {
 }
 
 TEST(DepthFirstEval, StrayBackwardAfterEvalForwardThrows) {
-  auto net = core::build_paper_cnn(core::CnnConfig::scaled());
-  const Tensor x = random_input({2, 1, 64}, 41);
-  Workspace ws;
-  net->set_training(true);
-  const Tensor y = net->forward(x, ws);  // leaves training caches behind
-  net->set_training(false);
-  net->forward(x, ws);
-  net->set_training(true);
-  EXPECT_THROW(net->backward(y, ws), Error);
+  // The eval forward drops the training caches in the containers and in
+  // every bare leaf, so backward cannot read stale activations.
+  struct Case {
+    const char* name;
+    std::unique_ptr<Layer> layer;
+    std::vector<std::size_t> input_shape;
+  };
+  Case cases[] = {
+      {"paper CNN", core::build_paper_cnn(core::CnnConfig::scaled()),
+       {2, 1, 64}},
+      {"Conv1d", std::make_unique<Conv1d>(2, 3, 5), {2, 2, 16}},
+      {"BatchNorm1d", std::make_unique<BatchNorm1d>(2), {2, 2, 16}},
+      {"ReLU", std::make_unique<ReLU>(), {2, 2, 16}},
+      {"GlobalAvgPool1d", std::make_unique<GlobalAvgPool1d>(), {2, 2, 16}},
+      {"Linear", std::make_unique<Linear>(4, 3), {2, 4}},
+  };
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Tensor x = random_input(c.input_shape, 41);
+    Workspace ws;
+    c.layer->set_training(true);
+    const Tensor y = c.layer->forward(x, ws);  // leaves training caches behind
+    c.layer->set_training(false);
+    c.layer->forward(x, ws);
+    c.layer->set_training(true);
+    EXPECT_THROW(c.layer->backward(y, ws), Error);
+  }
 }
 
 TEST(DepthFirstEval, AllocatesOnlyTheReturnedTensorAfterWarmUp) {

@@ -530,7 +530,7 @@ struct EpilogueConstants {
       for (std::size_t co = 0; co < c.cout; ++co) {
         float* row = out.data() + (b * c.cout + co) * c.out_len;
         kernels::normalize_scale_shift(c.out_len, row, mean[co], inv_std[co],
-                                       gamma[co], beta[co], nullptr, row);
+                                       gamma[co], beta[co], row);
         if (relu) kernels::relu(c.out_len, row, row);
       }
     return out;
@@ -836,14 +836,12 @@ TEST(Pointwise, AddInplace) {
 
 TEST(Pointwise, ScaleShiftAndNormalize) {
   const std::vector<float> x = {1.f, 2.f, 3.f};
-  std::vector<float> y(3), xhat(3);
-  kernels::scale_shift(3, x.data(), 2.0f, -1.0f, y.data());
-  EXPECT_FLOAT_EQ(y[1], 3.0f);
+  std::vector<float> y(3);
   kernels::normalize_scale_shift(3, x.data(), 2.0f, 0.5f, 3.0f, 1.0f,
-                                 xhat.data(), y.data());
-  EXPECT_FLOAT_EQ(xhat[0], -0.5f);  // (1-2)*0.5
-  EXPECT_FLOAT_EQ(y[0], -0.5f);     // 3*(-0.5)+1
-  EXPECT_FLOAT_EQ(xhat[2], 0.5f);
+                                 y.data());
+  EXPECT_FLOAT_EQ(y[0], -0.5f);  // 3*((1-2)*0.5)+1
+  EXPECT_FLOAT_EQ(y[1], 1.0f);   // 3*((2-2)*0.5)+1
+  EXPECT_FLOAT_EQ(y[2], 2.5f);   // 3*((3-2)*0.5)+1
 }
 
 TEST(Pointwise, StandardizeMatchesDefinition) {

@@ -1,8 +1,7 @@
 // Telemetry subsystem tests: lock-free counter/gauge semantics under
 // concurrency, histogram bucket math and quantiles against a sorted-vector
 // oracle, the system-wide exact percentile, span nesting and trace rings,
-// registry snapshot determinism, JSON round trips through the parser, and
-// the SCALOCATE_PROFILE gating of the kernel instrumentation.
+// registry snapshot determinism and JSON round trips through the parser.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +11,6 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "nn/kernels/gemm.hpp"
 #include "obs/histogram.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -86,36 +84,26 @@ TEST(ObsGauge, ConcurrentBalancedAddSubReturnsToZero) {
 // ---------------------------------------------------------------------------
 
 TEST(ObsPercentile, EdgeCases) {
-  EXPECT_EQ(obs::percentile({}, 0.5), 0.0);
-  EXPECT_EQ(obs::percentile({7.0}, 0.0), 7.0);
-  EXPECT_EQ(obs::percentile({7.0}, 0.5), 7.0);
-  EXPECT_EQ(obs::percentile({7.0}, 1.0), 7.0);
+  EXPECT_EQ(obs::percentile_sorted({}, 0.5), 0.0);
+  const std::vector<double> one{7.0};
+  EXPECT_EQ(obs::percentile_sorted(one, 0.0), 7.0);
+  EXPECT_EQ(obs::percentile_sorted(one, 0.5), 7.0);
+  EXPECT_EQ(obs::percentile_sorted(one, 1.0), 7.0);
   // q clamps rather than reading out of range.
-  EXPECT_EQ(obs::percentile({1.0, 2.0}, -3.0), 1.0);
-  EXPECT_EQ(obs::percentile({1.0, 2.0}, 42.0), 2.0);
+  const std::vector<double> two{1.0, 2.0};
+  EXPECT_EQ(obs::percentile_sorted(two, -3.0), 1.0);
+  EXPECT_EQ(obs::percentile_sorted(two, 42.0), 2.0);
 }
 
 TEST(ObsPercentile, LinearInterpolationRank) {
   // pos = q * (n - 1): for n = 5, q = 0.25 lands exactly on index 1.
   const std::vector<double> v{10, 20, 30, 40, 50};
-  EXPECT_DOUBLE_EQ(obs::percentile(v, 0.0), 10.0);
-  EXPECT_DOUBLE_EQ(obs::percentile(v, 0.25), 20.0);
-  EXPECT_DOUBLE_EQ(obs::percentile(v, 0.5), 30.0);
-  EXPECT_DOUBLE_EQ(obs::percentile(v, 1.0), 50.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 0.0), 10.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 0.25), 20.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 0.5), 30.0);
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 1.0), 50.0);
   // Between ranks: q = 0.1 -> pos 0.4 -> 10 + 0.4 * 10.
-  EXPECT_DOUBLE_EQ(obs::percentile(v, 0.1), 14.0);
-  // Unsorted input is sorted internally.
-  EXPECT_DOUBLE_EQ(obs::percentile({50, 10, 40, 20, 30}, 0.5), 30.0);
-}
-
-TEST(ObsPercentile, SortedVariantMatches) {
-  Rng rng(11);
-  std::vector<double> v(257);
-  for (auto& x : v) x = rng.normal() * 100.0;
-  std::vector<double> sorted = v;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double q : {0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0})
-    EXPECT_DOUBLE_EQ(obs::percentile(v, q), obs::percentile_sorted(sorted, q));
+  EXPECT_DOUBLE_EQ(obs::percentile_sorted(v, 0.1), 14.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -446,33 +434,6 @@ TEST(ObsJson, AtPathGreedyLongestKeyMatch) {
   // Longest match wins when both "a.b" and "a"->"b" exist.
   EXPECT_DOUBLE_EQ(doc.at_path("a.b")->number, 2.0);
   EXPECT_EQ(doc.at_path("gauges.engine.aes.queue_depth.missing"), nullptr);
-}
-
-// ---------------------------------------------------------------------------
-// Kernel profiling gate
-// ---------------------------------------------------------------------------
-
-TEST(ObsKernelProfile, GemmCountersAdvanceOnlyUnderProfileBuilds) {
-  auto& flops = obs::Registry::global().counter("kernels.gemm.flops");
-  auto& calls = obs::Registry::global().counter("kernels.gemm.calls");
-  const std::uint64_t flops_before = flops.value();
-  const std::uint64_t calls_before = calls.value();
-
-  constexpr std::size_t m = 8, n = 8, k = 8;
-  std::vector<float> a(m * k, 1.0f), b(k * n, 1.0f), c(m * n, 0.0f);
-  nn::kernels::GemmScratch scratch;
-  nn::kernels::sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n,
-                     0.0f, c.data(), n, scratch);
-  EXPECT_FLOAT_EQ(c[0], static_cast<float>(k));
-
-#if defined(SCALOCATE_PROFILE)
-  EXPECT_EQ(flops.value() - flops_before, 2ull * m * n * k);
-  EXPECT_EQ(calls.value() - calls_before, 1u);
-#else
-  EXPECT_EQ(flops.value(), flops_before)
-      << "profiling must be compile-time off by default";
-  EXPECT_EQ(calls.value(), calls_before);
-#endif
 }
 
 }  // namespace

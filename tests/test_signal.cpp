@@ -81,21 +81,6 @@ TEST(Signal, MovingAverageCenterValue) {
   EXPECT_NEAR(out[1], 3.f, 1e-6);
 }
 
-TEST(Signal, StandardizeHasZeroMeanUnitVar) {
-  Rng rng(3);
-  std::vector<float> xs(256);
-  for (auto& v : xs) v = static_cast<float>(rng.uniform(5.0, 9.0));
-  const auto out = standardize(xs);
-  EXPECT_NEAR(stats::mean(out), 0.0, 1e-5);
-  EXPECT_NEAR(stats::stddev(out), 1.0, 1e-4);
-}
-
-TEST(Signal, StandardizeConstantIsZeros) {
-  const std::vector<float> xs(8, 4.f);
-  const auto out = standardize(xs);
-  for (float v : out) EXPECT_FLOAT_EQ(v, 0.f);
-}
-
 TEST(Signal, NormalizedCrossCorrelationPeaksAtEmbedding) {
   Rng rng(7);
   std::vector<float> kernel(32);

@@ -25,7 +25,12 @@ clang-tidy / compiler warnings cannot see:
                   is named on some line under src/, bench/, examples/ or
                   perfbench/ other than its own declarations and
                   definitions, so code that only tests call cannot
-                  accumulate in the library; the exceptions (test oracles)
+                  accumulate in the library. When one name is declared in
+                  several namespaces, a use counts for a declaration only
+                  if it qualifies the name with that declaration's
+                  innermost namespace or sits inside that namespace, so
+                  same-named functions cannot hide each other. The
+                  exceptions (test oracles)
                   are listed in TEST_ONLY_API_ALLOWLIST with a reason, and
                   an entry that names no declared function or whose
                   function has gained such a caller is flagged stale.
@@ -216,10 +221,7 @@ def check_error_taxonomy(root: Path) -> list[str]:
 # Instrument names that are assembled at runtime and therefore have no
 # single string literal for the code-side scan to find. Keyed by the name's
 # final dotted segment (the "leaf"); the value is where/why.
-DYNAMIC_METRIC_LEAVES = {
-    "ns": "kernels.<kind>.<m>x<n>x<k>.ns — per-shape timing histograms "
-          "built at runtime in src/nn/kernels/gemm.cpp shape_histogram()",
-}
+DYNAMIC_METRIC_LEAVES: dict[str, str] = {}
 
 _REGISTRATION = re.compile(r"(?:counter|gauge|histogram)\s*\(([^()]*)\)")
 _STRING_LIT = re.compile(r'"([^"]*)"')
@@ -329,6 +331,18 @@ def _strip_comments_and_strings(text: str) -> str:
     return "".join(out)
 
 
+_NAMESPACE_INTRODUCER = re.compile(r"namespace\s+([\w:]*)\s*$|namespace\s*$")
+
+
+def _namespace_brace(text: str, pos: int) -> list[str] | None:
+    """The names the '{' at `pos` opens if it is a namespace brace
+    (`namespace a::b {` -> ['a', 'b'], `namespace {` -> []), else None."""
+    m = _NAMESPACE_INTRODUCER.search(text[max(0, pos - 120):pos])
+    if not m:
+        return None
+    return [name for name in (m.group(1) or "").split("::") if name]
+
+
 def check_header_using(root: Path) -> list[str]:
     findings = []
     for path in _cxx_files(root):
@@ -344,9 +358,8 @@ def check_header_using(root: Path) -> list[str]:
         for m in re.finditer(r"[{}]|using\s+namespace\b", text):
             tok = m.group(0)
             if tok == "{":
-                is_ns = re.search(r"namespace\s+[\w:]*\s*$|namespace\s*$",
-                                  text[max(0, m.start() - 120):m.start()])
-                stack.append(bool(is_ns))
+                is_ns = _namespace_brace(text, m.start()) is not None
+                stack.append(is_ns)
                 depth_other += 0 if is_ns else 1
             elif tok == "}":
                 if stack and not stack.pop():
@@ -380,6 +393,8 @@ TEST_ONLY_API_ALLOWLIST = {
     "tiles": "the kernel tile table, so the kernel tests run every tile the "
              "host supports, not only the dispatched one (dispatched_tile() "
              "reads the table directly)",
+    "percentile_sorted": "exact percentile over sorted samples: the oracle "
+                         "of Histogram::Snapshot::quantile (ObsHistogram)",
 }
 
 # Directories whose code counts as a caller.
@@ -395,8 +410,24 @@ _FUNC_DECL = re.compile(
     r"[A-Za-z_\[][\w:<>,*&\s\[\]]*?[\s*&>]([A-Za-z_]\w*)\s*\(")
 
 
-def _code_lines(path: Path) -> list[str]:
-    return _strip_comments_and_strings(path.read_text()).splitlines()
+_WORD = re.compile(r"[A-Za-z_]\w*")
+_QUALIFIER = re.compile(r"(\w+)\s*::\s*$")
+
+
+def _scoped_code_lines(path: Path) -> list[tuple[str, list[str]]]:
+    """Each line of `path` with comments and strings blanked, paired with
+    the named namespaces open at its start, outermost first."""
+    text = _strip_comments_and_strings(path.read_text())
+    braces: list[list[str]] = []  # names each open brace opened
+    open_at_line: list[list[str]] = [[]]
+    for m in re.finditer(r"[{}\n]", text):
+        if m.group(0) == "\n":
+            open_at_line.append([name for names in braces for name in names])
+        elif m.group(0) == "{":
+            braces.append(_namespace_brace(text, m.start()) or [])
+        elif braces:
+            braces.pop()
+    return list(zip(text.splitlines(), open_at_line))
 
 
 def _declared_name(line: str) -> str | None:
@@ -406,21 +437,34 @@ def _declared_name(line: str) -> str | None:
     return m.group(1)
 
 
-def _test_only_functions(root: Path) -> tuple[dict[str, str], set[str]]:
-    """(name -> 'path:line' of its first header declaration, names that
-    have a caller) for every namespace-scope function declared in a
-    header under src/."""
-    declared: dict[str, str] = {}
+Function = tuple[str, str]  # (innermost namespace, name)
+
+
+def _test_only_functions(root: Path
+                         ) -> tuple[dict[Function, str], set[Function]]:
+    """(function -> 'path:line' of its first header declaration, the
+    functions that have a caller) for every namespace-scope function
+    declared in a header under src/.
+
+    A use of a name declared in one namespace calls it. A name declared in
+    several namespaces is resolved per use: `ns::name` calls the one in
+    `ns`, and an unqualified use calls the ones in the namespaces around
+    it."""
+    declared: dict[Function, str] = {}
     for path in _cxx_files(root):
         if path.suffix != ".hpp":
             continue
         rel = path.relative_to(root).as_posix()
-        for lineno, line in enumerate(_code_lines(path), 1):
+        for lineno, (line, namespaces) in enumerate(_scoped_code_lines(path),
+                                                    1):
             name = _declared_name(line)
-            if name and name not in declared:
-                declared[name] = f"{rel}:{lineno}"
-    words = re.compile(r"[A-Za-z_]\w*")
-    called: set[str] = set()
+            function = (namespaces[-1] if namespaces else "", name)
+            if name and function not in declared:
+                declared[function] = f"{rel}:{lineno}"
+    namespaces_of: dict[str, set[str]] = {}
+    for namespace, name in declared:
+        namespaces_of.setdefault(name, set()).add(namespace)
+    called: set[Function] = set()
     for top in _CALLER_DIRS:
         base = root / top
         if not base.is_dir():
@@ -428,11 +472,18 @@ def _test_only_functions(root: Path) -> tuple[dict[str, str], set[str]]:
         for path in sorted(base.rglob("*")):
             if path.suffix not in (".cpp", ".hpp"):
                 continue
-            for line in _code_lines(path):
+            for line, namespaces in _scoped_code_lines(path):
                 own = _declared_name(line)
-                for word in set(words.findall(line)):
-                    if word in declared and word != own:
-                        called.add(word)
+                for m in _WORD.finditer(line):
+                    name = m.group(0)
+                    if name == own or name not in namespaces_of:
+                        continue
+                    targets = namespaces_of[name]
+                    if len(targets) > 1:
+                        qualifier = _QUALIFIER.search(line[:m.start()])
+                        targets = targets & ({qualifier.group(1)} if qualifier
+                                             else set(namespaces))
+                    called.update((namespace, name) for namespace in targets)
     return declared, called
 
 
@@ -443,21 +494,24 @@ def check_test_only_api(root: Path,
     allowlist = TEST_ONLY_API_ALLOWLIST if allowlist is None else allowlist
     declared, called = _test_only_functions(root)
     findings = []
-    for name, site in sorted(declared.items(), key=lambda kv: kv[1]):
-        if name not in called and name not in allowlist:
+    for (namespace, name), site in sorted(declared.items(),
+                                          key=lambda kv: kv[1]):
+        if (namespace, name) not in called and name not in allowlist:
+            qualified = f"{namespace}::{name}" if namespace else name
             findings.append(
-                f"{site}: [test-only-api] {name}() is declared in a src/ "
+                f"{site}: [test-only-api] {qualified}() is declared in a src/ "
                 f"header but nothing under src/, bench/, examples/ or "
                 f"perfbench/ calls it; delete it (with its tests) or add it "
                 f"to TEST_ONLY_API_ALLOWLIST in tools/scalocate_lint.py "
                 f"with a reason")
     for name in sorted(allowlist):
-        if name not in declared:
+        functions = [f for f in declared if f[1] == name]
+        if not functions:
             findings.append(
                 f"tools/scalocate_lint.py: [test-only-api] "
                 f"TEST_ONLY_API_ALLOWLIST entry '{name}' names no function "
                 f"declared in a src/ header; remove the stale entry")
-        elif name in called:
+        elif all(f in called for f in functions):
             findings.append(
                 f"tools/scalocate_lint.py: [test-only-api] "
                 f"TEST_ONLY_API_ALLOWLIST entry '{name}' has a caller "

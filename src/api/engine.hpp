@@ -95,9 +95,9 @@ struct EngineConfig {
   double watchdog_p99_multiple = 0.0;
   /// Completed jobs required before the watchdog trusts the p99 baseline.
   std::size_t watchdog_min_samples = 32;
-  /// Intra-op kernel threads per job (nn/kernels/parallel.hpp): how far
-  /// one job's GEMM/conv calls may fan out across the process compute
-  /// pool. Default 1 = throughput mode (many concurrent jobs, one core
+  /// Intra-op threads per job (nn/kernels/parallel.hpp): how far one
+  /// job's window scoring (the eval forward's split of its batch items)
+  /// may fan out across the process compute pool. Default 1 = throughput mode (many concurrent jobs, one core
   /// each — the `workers` knob is the parallelism). Set >1 (or 0 for the
   /// process default / SCALOCATE_THREADS) for latency mode: few big
   /// traces, each saturating the machine. Detections are bit-identical

@@ -90,37 +90,4 @@ float max_value(std::span<const float> xs) {
   return *std::max_element(xs.begin(), xs.end());
 }
 
-void RunningMoments::add(double x) {
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningMoments::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_);
-}
-
-double RunningMoments::stddev() const { return std::sqrt(variance()); }
-
-void RunningCorrelation::add(double x, double y) {
-  ++n_;
-  const double inv_n = 1.0 / static_cast<double>(n_);
-  const double dx = x - mean_x_;
-  const double dy = y - mean_y_;
-  mean_x_ += dx * inv_n;
-  mean_y_ += dy * inv_n;
-  m2_x_ += dx * (x - mean_x_);
-  m2_y_ += dy * (y - mean_y_);
-  cov_ += dx * (y - mean_y_);
-}
-
-double RunningCorrelation::correlation() const {
-  if (n_ < 2) return 0.0;
-  const double denom = std::sqrt(m2_x_ * m2_y_);
-  if (denom <= 0.0) return 0.0;
-  return cov_ / denom;
-}
-
 }  // namespace scalocate::stats

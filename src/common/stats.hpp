@@ -1,9 +1,7 @@
 // Scalar statistics used across the library: descriptive statistics for
-// power traces, Pearson correlation for CPA, and an online (Welford)
-// accumulator for incremental correlation over growing trace sets.
+// power traces and Pearson correlation for CPA.
 #pragma once
 
-#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -33,39 +31,5 @@ double percentile(std::span<const float> xs, double p);
 /// Minimum / maximum. Input must be non-empty.
 float min_value(std::span<const float> xs);
 float max_value(std::span<const float> xs);
-
-/// Online mean/variance accumulator (Welford). Numerically stable for the
-/// long accumulations done by the incremental CPA engine.
-class RunningMoments {
- public:
-  void add(double x);
-  std::size_t count() const { return n_; }
-  double mean() const { return mean_; }
-  /// Population variance (N denominator). 0 when fewer than 2 samples.
-  double variance() const;
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
-/// Online accumulator of Pearson correlation between paired samples.
-/// Used by the CPA engine to update correlations one trace at a time.
-class RunningCorrelation {
- public:
-  void add(double x, double y);
-  std::size_t count() const { return n_; }
-  /// Current correlation estimate; 0 when undefined (fewer than 2 samples or
-  /// zero variance on either side).
-  double correlation() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_x_ = 0.0, mean_y_ = 0.0;
-  double m2_x_ = 0.0, m2_y_ = 0.0;
-  double cov_ = 0.0;
-};
 
 }  // namespace scalocate::stats

@@ -7,17 +7,11 @@
 
 namespace scalocate::nn {
 
-Tensor ReLU::forward(const Tensor& input, Workspace& ws) const {
+Tensor ReLU::forward_train(const Tensor& input, Workspace& ws) const {
   Tensor out(input.shape());
-  if (training_) {
-    Tensor& mask = ws.slot(this).a;
-    mask = Tensor(input.shape());
-    kernels::relu_mask(input.numel(), input.data(), out.data(), mask.data());
-  } else {
-    // Backward-only mask skipped in eval mode (see Conv1d::forward).
-    ws.slot(this).a = Tensor();
-    kernels::relu(input.numel(), input.data(), out.data());
-  }
+  Tensor& mask = ws.slot(this).a;
+  mask = Tensor(input.shape());
+  kernels::relu_mask(input.numel(), input.data(), out.data(), mask.data());
   return out;
 }
 

@@ -9,11 +9,12 @@ namespace scalocate::nn {
 class ReLU final : public Layer {
  public:
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::string name() const override { return "ReLU"; }
+
+ private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
 };
 
 /// Row-wise softmax over the last axis of a [B, C] tensor. Not a Layer:

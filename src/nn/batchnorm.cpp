@@ -19,7 +19,7 @@ BatchNorm1d::BatchNorm1d(std::size_t channels, double eps, double momentum)
   gamma_.value.fill(1.0f);
 }
 
-Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
+Tensor BatchNorm1d::forward_train(const Tensor& input, Workspace& ws) const {
   detail::require(input.rank() == 3 && input.dim(1) == channels_,
                   "BatchNorm1d::forward: expected [B, C, N], got " +
                       input.shape_string());
@@ -29,23 +29,6 @@ Tensor BatchNorm1d::forward(const Tensor& input, Workspace& ws) const {
 
   Tensor out(input.shape());
   Workspace::Slot& slot = ws.slot(this);
-  if (!training_) {
-    // Eval path: fused single-precision normalize + affine. The
-    // backward-only caches are skipped (see Conv1d::forward).
-    slot = {};
-    std::vector<float> inv_std(channels_);
-    const kernels::ConvEpilogue affine = eval_affine(inv_std.data());
-    for (std::size_t c = 0; c < channels_; ++c) {
-      for (std::size_t b = 0; b < batch; ++b) {
-        const std::size_t off = (b * channels_ + c) * n;
-        kernels::normalize_scale_shift(n, input.data() + off, affine.mean[c],
-                                       affine.inv_std[c], affine.gamma[c],
-                                       affine.beta[c], out.data() + off);
-      }
-    }
-    return out;
-  }
-
   slot.a = Tensor(input.shape());  // normalized activations (xhat)
   slot.scalars.assign(channels_, 0.0f);  // per-channel 1/std
   Tensor& cached_normalized = slot.a;
@@ -111,7 +94,6 @@ Item BatchNorm1d::eval_item(const Item& in, EvalLane& lane) const {
   const std::size_t n = in.dims[1];
   const kernels::ConvEpilogue affine = eval_affine(lane.push(channels_));
   float* y = lane.output_for(in);
-  // forward's eval branch per channel row.
   for (std::size_t c = 0; c < channels_; ++c)
     kernels::normalize_scale_shift(n, in.data + c * n, affine.mean[c],
                                    affine.inv_std[c], affine.gamma[c],

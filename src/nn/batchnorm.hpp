@@ -15,8 +15,6 @@ class BatchNorm1d final : public Layer {
                        double momentum = 0.1);
 
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override { return {&gamma_, &beta_}; }
@@ -31,15 +29,16 @@ class BatchNorm1d final : public Layer {
   /// conv epilogue without ReLU: fills inv_std[c] = float(1 /
   /// sqrt(double(var[c]) + eps)) from the running variance, read now, into
   /// `inv_std` (channels() floats), and points at the running mean, gamma
-  /// and beta as stored. Nothing is cached across calls. The eval forward
-  /// and eval_item use it too, so the fused conv block and this layer
-  /// share one rule.
+  /// and beta as stored. Nothing is cached across calls. eval_item uses it
+  /// too, so the fused conv block and this layer share one rule.
   kernels::ConvEpilogue eval_affine(float* inv_std) const;
 
   Param& gamma() { return gamma_; }
   Param& beta() { return beta_; }
 
  private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
+
   std::size_t channels_;
   double eps_;
   double momentum_;

@@ -27,14 +27,11 @@ std::size_t Conv1d::output_length(std::size_t n) const {
   return n;
 }
 
-Tensor Conv1d::forward(const Tensor& input, Workspace& ws) const {
+Tensor Conv1d::forward_train(const Tensor& input, Workspace& ws) const {
   detail::require(input.rank() == 3 && input.dim(1) == in_channels_,
                   "Conv1d::forward: expected [B, Cin, N], got " +
                       input.shape_string());
-  // The input is retained only for backward; eval-mode forward (the serving
-  // hot path) skips the copy and leaves the slot empty so a stray backward
-  // fails loudly instead of using stale activations.
-  ws.slot(this).a = training_ ? input : Tensor();
+  ws.slot(this).a = input;  // for backward
 
   const std::size_t batch = input.dim(0);
   const std::size_t n = input.dim(2);
@@ -62,8 +59,6 @@ Item Conv1d::eval_item(const Item& in, EvalLane& lane,
   const std::size_t n = in.dims[1];
   const std::size_t out_len = output_length(n);
   float* y = lane.push(out_channels_ * out_len);
-  // forward's kernel call at batch 1: outside a parallel region it still
-  // splits the output channels across the intra-op budget.
   kernels::sgemm_conv(out_channels_, 1, weight_.value.data(),
                       bias_.value.data(), in.data, in_channels_, n,
                       kernel_size_, y, lane.gemm(), epilogue);

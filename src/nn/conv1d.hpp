@@ -5,8 +5,8 @@
 // left and the rest of K-1 on the right, so the temporal length is kept
 // for every K, the paper's even K = 64 included (Section III-B).
 //
-// Forward runs the direct conv kernel (kernels::sgemm_conv) and backward
-// im2col + cache-blocked GEMM (nn/kernels/), with pack buffers taken from
+// forward_train and eval_item run the direct conv kernel
+// (kernels::sgemm_conv), backward im2col + cache-blocked GEMM (nn/kernels/), with pack buffers taken from
 // the caller's Workspace so the layer itself stays const and
 // thread-shareable. The pre-refactor scalar loops survive as
 // kernels::conv1d_*_naive for parity testing.
@@ -22,8 +22,6 @@ class Conv1d final : public Layer {
          std::size_t kernel_size);
 
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   /// eval_item with `epilogue` applied by the conv kernel before its store:
   /// a conv block's BatchNorm and ReLU in the same call, as Sequential
@@ -45,6 +43,8 @@ class Conv1d final : public Layer {
   std::size_t output_length(std::size_t n) const;
 
  private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
+
   std::size_t in_channels_, out_channels_, kernel_size_;
   Param weight_;
   Param bias_;

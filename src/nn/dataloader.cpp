@@ -27,10 +27,6 @@ DataLoader::DataLoader(std::vector<std::vector<float>> windows,
   start_epoch();
 }
 
-std::size_t DataLoader::batches_per_epoch() const {
-  return (windows_.size() + batch_size_ - 1) / batch_size_;
-}
-
 void DataLoader::start_epoch() {
   if (shuffle_) rng_.shuffle(order_);
   cursor_ = 0;

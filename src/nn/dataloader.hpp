@@ -24,9 +24,6 @@ class DataLoader {
              std::vector<std::uint8_t> labels, std::size_t batch_size,
              std::uint64_t shuffle_seed, bool shuffle = true);
 
-  /// Number of batches per epoch (last partial batch included).
-  std::size_t batches_per_epoch() const;
-
   /// Begins a new epoch (reshuffles when enabled).
   void start_epoch();
 

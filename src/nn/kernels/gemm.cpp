@@ -80,13 +80,11 @@ static_assert(kPortableConvBlock.lanes == portable::kVL);
 
 constexpr Tile kTiles[] = {
 #if defined(SCALOCATE_GEMM_X86_64)
-    {"avx512", cpu_has_avx512, sgemm_avx512, sgemm_conv_avx512,
-     kAvx512ConvBlock},
-    {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2, kAvx2ConvBlock},
+    {"avx512", cpu_has_avx512, sgemm_avx512, sgemm_conv_avx512},
+    {"avx2", cpu_has_avx2_fma, sgemm_avx2, sgemm_conv_avx2},
 #endif
     {"portable", any_cpu, portable::sgemm_blocked<4, 8>,
-     portable::conv_direct<kPortableConvBlock.rows, kPortableConvBlock.vectors>,
-     kPortableConvBlock},
+     portable::conv_direct<kPortableConvBlock.rows, kPortableConvBlock.vectors>},
 };
 
 }  // namespace
@@ -195,46 +193,19 @@ void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
                 std::size_t n, std::size_t kernel, float* out,
                 GemmScratch& scratch, const ConvEpilogue* epilogue) {
   if (cout == 0 || n == 0 || batch == 0) return;
-  const detail::Tile& tile = detail::dispatched_tile();
-  const detail::ConvEntry sgemm_conv_st = tile.conv;
+  const detail::ConvEntry sgemm_conv_st = detail::dispatched_tile().conv;
   const std::size_t budget = intra_op_threads();
-  if (budget > 1 && !in_parallel_region() &&
+  // Batch items are fully independent outputs: the partition for
+  // minibatch training. A single item always runs on the calling thread.
+  if (budget > 1 && batch > 1 && !in_parallel_region() &&
       2ull * batch * cout * n * cin * kernel >= parallel_min_flops()) {
-    // Batch items are fully independent outputs: the natural partition for
-    // minibatch training and batched window scoring.
-    if (batch > 1) {
-      const std::size_t chunks = std::min(budget, batch);
-      parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
-        const auto [b0, len] = chunk_range(batch, chunks, ci);
-        sgemm_conv_st(cout, len, w, bias, x + b0 * cin * n, cin, n, kernel,
-                      out + b0 * cout * n, ls, epilogue);
-      });
-      return;
-    }
-    // Single item (streaming single-window scoring): split the output
-    // channels in whole register blocks of the tile — each chunk owns a
-    // [c0, c0+len) slab of the output, its weight rows and its slice of
-    // the epilogue; the per-channel tap accumulation order is untouched,
-    // so this too is bit-identical.
-    const std::size_t rows = tile.conv_block.rows;
-    const std::size_t blocks = (cout + rows - 1) / rows;
-    const std::size_t chunks = std::min(budget, blocks);
-    if (chunks > 1) {
-      parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
-        const auto [blk0, nblk] = chunk_range(blocks, chunks, ci);
-        const std::size_t c0 = blk0 * rows;
-        const std::size_t len = std::min(cout, (blk0 + nblk) * rows) - c0;
-        ConvEpilogue slice{};
-        if (epilogue != nullptr)
-          slice = {epilogue->mean + c0, epilogue->inv_std + c0,
-                   epilogue->gamma + c0, epilogue->beta + c0, epilogue->relu};
-        sgemm_conv_st(len, batch, w + c0 * cin * kernel,
-                      bias != nullptr ? bias + c0 : nullptr, x, cin, n,
-                      kernel, out + c0 * n, ls,
-                      epilogue != nullptr ? &slice : nullptr);
-      });
-      return;
-    }
+    const std::size_t chunks = std::min(budget, batch);
+    parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
+      const auto [b0, len] = chunk_range(batch, chunks, ci);
+      sgemm_conv_st(cout, len, w, bias, x + b0 * cin * n, cin, n, kernel,
+                    out + b0 * cout * n, ls, epilogue);
+    });
+    return;
   }
   sgemm_conv_st(cout, batch, w, bias, x, cin, n, kernel, out, scratch,
                 epilogue);

@@ -20,12 +20,13 @@
 // blocked path always has an obviously-correct oracle.
 //
 // Intra-op threading (see parallel.hpp): when the calling thread's
-// intra-op budget allows and the problem is big enough, sgemm/sgemm_conv
-// statically partition the N (or, for tall problems, M) macro-loop — and
-// batched convolutions their batch/out-channel loops — across the
-// process-wide compute pool. Each chunk writes a disjoint C tile and the
-// per-element summation order is unchanged, so the threaded results are
-// bit-identical to the single-threaded kernels at every thread count.
+// intra-op budget allows and the problem is big enough, sgemm statically
+// partitions its N (or, for tall problems, M) macro-loop, and sgemm_conv
+// its batch loop, across the process-wide compute pool; a one-item conv
+// always runs on the calling thread. Each chunk writes a disjoint C tile
+// and the per-element summation order is unchanged, so the threaded
+// results are bit-identical to the single-threaded kernels at every
+// thread count.
 //
 // Thread-safety: sgemm is pure compute over caller-provided buffers; the
 // pack buffers live in a caller-owned GemmScratch (one per nn::Workspace,

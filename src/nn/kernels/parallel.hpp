@@ -1,13 +1,17 @@
 // Intra-op threading layer of the kernel backend.
 //
 // The GEMM/conv drivers in gemm.cpp statically partition their macro-loops
-// into chunks and run them through parallel_for(), which fans the chunks
-// out over a process-wide compute ThreadPool (the calling thread executes
-// chunk 0 in place). The partitioning is deterministic — a pure function
-// of the problem shape and the caller's thread budget — and every chunk
-// writes a disjoint slice of C with the per-element summation order
-// unchanged, so results are bit-identical to the single-threaded kernels
-// at every thread count (tested in test_nn_kernels).
+// into chunks, and the eval forward (nn::Layer::forward) its batch items,
+// and run them through parallel_for(), which fans the chunks out over a
+// process-wide compute ThreadPool (the calling thread executes chunk 0 in
+// place). The kernels an eval forward calls run inside its chunks, and a
+// one-item eval forward splits nothing but a GEMM above the threshold
+// below (the paper CNN has none). The partitioning is deterministic — a
+// pure function of the problem shape and the caller's thread budget — and
+// every chunk writes a disjoint slice of the output with the per-element
+// summation order unchanged, so results are bit-identical to the
+// single-threaded kernels at every thread count (tested in
+// test_nn_kernels and test_nn_eval).
 //
 // Two axes of control, so inter-op concurrency (many jobs on a service
 // pool) and intra-op parallelism (one big trace across cores) can be

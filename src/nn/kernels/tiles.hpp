@@ -26,10 +26,9 @@ using ConvEntry = decltype(&sgemm_conv);
 
 /// The direct conv's register block: `rows` output channels by `vectors`
 /// vectors of `lanes` floats (the tile TU's vector width) of output
-/// positions. The batch-1 channel split hands out whole blocks of rows.
+/// positions.
 struct ConvBlock {
   std::size_t rows, vectors, lanes;
-  constexpr std::size_t cols() const { return vectors * lanes; }
 };
 
 // One per tile TU; the TUs instantiate conv_direct with these. Internal
@@ -43,7 +42,6 @@ struct Tile {
   bool (*supported)();  ///< may the running CPU execute this tile's code?
   GemmEntry gemm;
   ConvEntry conv;
-  ConvBlock conv_block;
 };
 
 /// Every tile this build compiled, widest first: avx512, avx2, portable on

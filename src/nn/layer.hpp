@@ -8,10 +8,13 @@
 // reads the caches the paired forward left in the same workspace, so
 // callers must pass one workspace per in-flight forward/backward pair.
 //
-// Eval-mode forward of a container (Sequential, Residual) runs depth-first:
-// each batch item goes through every layer (Layer::eval_item) before the
-// next item starts, with its activations in workspace slabs that are sized
-// on first use and reused after. See Sequential::forward.
+// In training mode Layer::forward is the layer's forward_train. In eval
+// mode it runs depth-first, for leaves and containers alike: each batch
+// item goes through the layer's eval_item (a container's runs every
+// child) before the next item starts, with its activations in workspace
+// slabs that are sized on first use and reused after, and its output
+// written straight into the returned tensor. So every layer has one eval
+// implementation, its eval_item.
 #pragma once
 
 #include <array>
@@ -76,14 +79,11 @@ class EvalLane {
   void rewind() { top_ = 0; }
 
   kernels::GemmScratch& gemm() { return gemm_; }
-  /// The chunk's finished output items, back to back.
-  std::vector<float>& finished() { return finished_; }
 
  private:
   std::vector<std::vector<float>> slabs_;
   std::size_t top_ = 0;
   kernels::GemmScratch gemm_;
-  std::vector<float> finished_;
 };
 
 /// Pack buffers for the nn::kernels backend, shared by every layer routed
@@ -140,23 +140,28 @@ class Workspace {
 /// statistics, which are updated in training mode only (training-mode
 /// forward passes are therefore not thread-safe; eval-mode passes are).
 ///
-/// In eval mode no backward-only cache is kept: the containers'
-/// depth-first forward caches nothing and clears the workspace's slots,
-/// and each leaf's own batched forward clears its slot, so backward after
-/// an eval-mode forward throws.
+/// In eval mode no backward-only cache is kept: the eval forward caches
+/// nothing and clears every slot of the workspace, so backward after an
+/// eval-mode forward throws.
 class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes outputs for a batch, caching into `ws` what backward needs.
-  virtual Tensor forward(const Tensor& input, Workspace& ws) const = 0;
+  /// Computes outputs for a batch. In training mode this is forward_train.
+  /// In eval mode each item of dim 0 runs through eval_item on its own:
+  /// item 0 on lane 0 (it fixes the output shape; an empty batch runs one
+  /// zero item instead), then items 1..B-1, split across the compute pool
+  /// in one chunk per workspace lane when the intra-op budget is above 1
+  /// and the caller is not already in a parallel region. Kernels called
+  /// inside a chunk stay single-threaded, and every output element comes
+  /// from the same float operations whatever the split, so the result is
+  /// bit-identical at every budget.
+  Tensor forward(const Tensor& input, Workspace& ws) const;
 
-  /// Eval-mode forward of ONE batch item, the step of the containers'
-  /// depth-first eval forward: reads `in` and returns the output item,
-  /// written into a slab of `lane` (or, for a shape-preserving step on a
-  /// writable item, into `in` itself). Each leaf calls the same kernel as
-  /// its batched eval forward, with the same operand order, so the
-  /// result is bit-identical to that forward's row.
+  /// Eval-mode forward of ONE batch item, the step of the eval forward:
+  /// reads `in` and returns the output item, written into a slab of
+  /// `lane` (or, for a shape-preserving step on a writable item, into
+  /// `in` itself).
   virtual Item eval_item(const Item& in, EvalLane& lane) const = 0;
 
   /// Given dLoss/dOutput and the workspace of the paired forward,
@@ -202,6 +207,10 @@ class Layer {
   virtual std::string name() const = 0;
 
  protected:
+  /// Training-mode forward of a batch, caching into `ws` what backward
+  /// needs.
+  virtual Tensor forward_train(const Tensor& input, Workspace& ws) const = 0;
+
   bool training_ = true;
 
  private:

@@ -17,13 +17,12 @@ Linear::Linear(std::size_t in_features, std::size_t out_features)
                   "Linear: invalid configuration");
 }
 
-Tensor Linear::forward(const Tensor& input, Workspace& ws) const {
+Tensor Linear::forward_train(const Tensor& input, Workspace& ws) const {
   detail::require(input.rank() == 2 && input.dim(1) == in_features_,
                   "Linear::forward: expected [B, " +
                       std::to_string(in_features_) + "], got " +
                       input.shape_string());
-  // Backward-only cache: skipped in eval mode (see Conv1d::forward).
-  ws.slot(this).a = training_ ? input : Tensor();
+  ws.slot(this).a = input;  // for backward
   const std::size_t batch = input.dim(0);
   Tensor out({batch, out_features_});
   // out = X [B, Fin] x W^T ([Fout, Fin] transposed), then the bias row.
@@ -40,7 +39,6 @@ Item Linear::eval_item(const Item& in, EvalLane& lane) const {
                           std::to_string(in_features_) + "], got " +
                           in.shape_string());
   float* y = lane.push(out_features_);
-  // forward's two kernel calls with one row.
   kernels::sgemm(false, true, 1, out_features_, in_features_, 1.0f, in.data,
                  in_features_, weight_.value.data(), in_features_, 0.0f, y,
                  out_features_, lane.gemm());

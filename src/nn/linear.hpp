@@ -11,8 +11,6 @@ class Linear final : public Layer {
   Linear(std::size_t in_features, std::size_t out_features);
 
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -22,6 +20,8 @@ class Linear final : public Layer {
   Param& bias() { return bias_; }
 
  private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
+
   std::size_t in_features_, out_features_;
   Param weight_;  // [F_out, F_in]
   Param bias_;    // [F_out]

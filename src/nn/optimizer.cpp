@@ -4,33 +4,9 @@
 
 namespace scalocate::nn {
 
-void Optimizer::zero_grad() {
-  for (Param* p : params_) p->zero_grad();
-}
-
-Sgd::Sgd(std::vector<Param*> params, float lr, float momentum)
-    : Optimizer(std::move(params)), lr_(lr), momentum_(momentum) {
-  velocity_.resize(params_.size());
-  for (std::size_t i = 0; i < params_.size(); ++i)
-    velocity_[i].assign(params_[i]->value.numel(), 0.0f);
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    Param& p = *params_[i];
-    float* value = p.value.data();
-    const float* grad = p.grad.data();
-    float* vel = velocity_[i].data();
-    for (std::size_t j = 0; j < p.value.numel(); ++j) {
-      vel[j] = momentum_ * vel[j] - lr_ * grad[j];
-      value[j] += vel[j];
-    }
-  }
-}
-
 Adam::Adam(std::vector<Param*> params, float lr, float beta1, float beta2,
            float eps)
-    : Optimizer(std::move(params)),
+    : params_(std::move(params)),
       lr_(lr),
       beta1_(beta1),
       beta2_(beta2),
@@ -62,6 +38,10 @@ void Adam::step() {
                                      (std::sqrt(vhat) + static_cast<double>(eps_)));
     }
   }
+}
+
+void Adam::zero_grad() {
+  for (Param* p : params_) p->zero_grad();
 }
 
 }  // namespace scalocate::nn

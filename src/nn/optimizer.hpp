@@ -1,5 +1,5 @@
-// Gradient-descent optimizers. Adam is the paper's choice (lr 1e-3,
-// Section IV-B); plain SGD exists as a baseline and for tests.
+// The gradient-descent optimizer: Adam, the paper's choice (lr 1e-3,
+// Section IV-B).
 #pragma once
 
 #include <vector>
@@ -8,39 +8,19 @@
 
 namespace scalocate::nn {
 
-class Optimizer {
+class Adam {
  public:
-  explicit Optimizer(std::vector<Param*> params) : params_(std::move(params)) {}
-  virtual ~Optimizer() = default;
+  Adam(std::vector<Param*> params, float lr = 1e-3f, float beta1 = 0.9f,
+       float beta2 = 0.999f, float eps = 1e-8f);
 
   /// Applies one update from the accumulated gradients.
-  virtual void step() = 0;
+  void step();
 
   /// Clears accumulated gradients (call after step).
   void zero_grad();
 
- protected:
+ private:
   std::vector<Param*> params_;
-};
-
-class Sgd final : public Optimizer {
- public:
-  Sgd(std::vector<Param*> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float lr_;
-  float momentum_;
-  std::vector<std::vector<float>> velocity_;
-};
-
-class Adam final : public Optimizer {
- public:
-  Adam(std::vector<Param*> params, float lr = 1e-3f, float beta1 = 0.9f,
-       float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
-
- private:
   float lr_, beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<std::vector<float>> m_;

@@ -5,12 +5,12 @@
 
 namespace scalocate::nn {
 
-Tensor GlobalAvgPool1d::forward(const Tensor& input, Workspace& ws) const {
+Tensor GlobalAvgPool1d::forward_train(const Tensor& input,
+                                      Workspace& ws) const {
   detail::require(input.rank() == 3,
                   "GlobalAvgPool1d::forward: expected [B, C, N], got " +
                       input.shape_string());
-  // Backward-only cache: skipped in eval mode (see Conv1d::forward).
-  ws.slot(this).shape = training_ ? input.shape() : std::vector<std::size_t>{};
+  ws.slot(this).shape = input.shape();  // for backward
   const std::size_t batch = input.dim(0);
   const std::size_t channels = input.dim(1);
   const std::size_t n = input.dim(2);

@@ -13,11 +13,12 @@ namespace scalocate::nn {
 class GlobalAvgPool1d final : public Layer {
  public:
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::string name() const override { return "GlobalAvgPool1d"; }
+
+ private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
 };
 
 }  // namespace scalocate::nn

@@ -5,79 +5,9 @@
 
 #include "common/error.hpp"
 #include "nn/activations.hpp"
-#include "nn/kernels/parallel.hpp"
 #include "nn/kernels/pointwise.hpp"
 
 namespace scalocate::nn {
-
-namespace {
-
-/// The containers' eval forward (see sequential.hpp): every item of
-/// `input` runs through net.eval_item on its own before the next starts.
-Tensor forward_depth_first(const Layer& net, const Tensor& input,
-                           Workspace& ws) {
-  if (input.rank() < 1 || input.rank() > Item::kMaxRank + 1)
-    throw InvalidArgument("eval forward: expected rank 1 to " +
-                          std::to_string(Item::kMaxRank + 1) + ", got " +
-                          input.shape_string());
-  // No backward-only cache survives an eval forward: a stray backward
-  // throws instead of reading a stale training activation.
-  ws.clear();
-  Item proto;
-  proto.rank = input.rank() - 1;
-  for (std::size_t i = 0; i < proto.rank; ++i) proto.dims[i] = input.dim(i + 1);
-  const std::size_t row = proto.numel();
-  const std::size_t batch = input.dim(0);
-  const std::size_t budget = kernels::intra_op_threads();
-  const std::size_t chunks =
-      budget > 1 && batch > 1 && !kernels::in_parallel_region()
-          ? std::min(budget, batch)
-          : 1;
-  for (std::size_t c = 0; c < chunks; ++c) ws.eval_lane(c);
-
-  Item last;  // an output item; every item's has the same shape
-  const auto run_chunk = [&](std::size_t c) {
-    EvalLane& lane = ws.eval_lane(c);
-    std::vector<float>& done = lane.finished();
-    done.clear();
-    const auto [b0, len] = kernels::chunk_range(batch, chunks, c);
-    for (std::size_t b = b0; b < b0 + len; ++b) {
-      lane.rewind();
-      Item x = proto;
-      x.data = input.data() + b * row;
-      const Item y = net.eval_item(x, lane);
-      done.insert(done.end(), y.data, y.data + y.numel());
-      if (c == 0) last = y;
-    }
-  };
-  if (chunks == 1)
-    run_chunk(0);  // not a parallel region: the kernels keep their split
-  else
-    kernels::parallel_for(chunks, run_chunk);
-  if (batch == 0) {
-    // No item fixed the output shape, so run one zero item for it.
-    const std::vector<float> zeros(row);
-    Item x = proto;
-    x.data = zeros.data();
-    ws.eval_lane(0).rewind();
-    last = net.eval_item(x, ws.eval_lane(0));
-  }
-
-  std::vector<std::size_t> shape(last.rank + 1, batch);
-  std::copy(last.dims.begin(), last.dims.begin() + last.rank,
-            shape.begin() + 1);
-  Tensor out(std::move(shape));
-  const std::size_t out_row = last.numel();
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::vector<float>& done = ws.eval_lane(c).finished();
-    std::copy(done.begin(), done.end(),
-              out.data() + kernels::chunk_range(batch, chunks, c).begin *
-                               out_row);
-  }
-  return out;
-}
-
-}  // namespace
 
 Sequential& Sequential::add(LayerPtr layer) {
   detail::require(layer != nullptr, "Sequential::add: null layer");
@@ -106,9 +36,8 @@ void Sequential::plan_eval_steps() {
   }
 }
 
-Tensor Sequential::forward(const Tensor& input, Workspace& ws) const {
+Tensor Sequential::forward_train(const Tensor& input, Workspace& ws) const {
   if (layers_.empty()) return input;
-  if (!training_) return forward_depth_first(*this, input, ws);
   // First layer reads `input` directly (no staging copy of the batch).
   Tensor x = layers_.front()->forward(input, ws);
   for (std::size_t i = 1; i < layers_.size(); ++i)
@@ -169,8 +98,7 @@ Residual::Residual(LayerPtr main, LayerPtr projection)
   detail::require(main_ != nullptr, "Residual: null main branch");
 }
 
-Tensor Residual::forward(const Tensor& input, Workspace& ws) const {
-  if (!training_) return forward_depth_first(*this, input, ws);
+Tensor Residual::forward_train(const Tensor& input, Workspace& ws) const {
   Tensor main_out = main_->forward(input, ws);
   Tensor shortcut =
       projection_ != nullptr ? projection_->forward(input, ws) : input;

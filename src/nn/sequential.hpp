@@ -3,15 +3,12 @@
 // match and a 1x1 projection convolution otherwise (the paper's second
 // residual block widens 16 -> 32 channels).
 //
-// In eval mode both run depth-first: batch item b goes through every
-// child (Layer::eval_item) before item b+1 starts. One item's activations
-// (at most 32 x 384 floats per layer for the paper model at Ninf = 384)
-// stay in L1/L2 instead of the whole batch's going through memory once per
-// layer, and the slabs they live in are reused, so a warmed-up workspace
-// allocates nothing but the returned tensor. At an intra-op budget above 1
-// and a batch above 1 the items are split across the compute pool once per
-// forward (one workspace lane per chunk, kernels single-threaded inside);
-// at batch 1 the kernels keep their own intra-op split.
+// In eval mode both run depth-first (Layer::forward): batch item b goes
+// through every child's eval_item before item b+1 starts. One item's
+// activations (at most 32 x 384 floats per layer for the paper model at
+// Ninf = 384) stay in L1/L2 instead of the whole batch's going through
+// memory once per layer, and the slabs they live in are reused, so a
+// warmed-up workspace allocates nothing but the returned tensor.
 //
 // Sequential also fuses the paper's conv block: a Conv1d followed by a
 // BatchNorm1d, with or without a ReLU after it, is one eval step, in
@@ -19,8 +16,8 @@
 // accumulators before the store (kernels::ConvEpilogue). The plan is made
 // when layers are added. Either way every element comes from the same
 // float operations, in the same order, as the layer-by-layer composition
-// of the leaves' batched eval forwards, so the output is bit-identical to
-// it at every budget (tests/test_nn_eval.cpp).
+// of the leaves' own eval forwards, so the output is bit-identical to it
+// at every budget (tests/test_nn_eval.cpp).
 #pragma once
 
 #include <memory>
@@ -46,8 +43,6 @@ class Sequential : public Layer {
   }
 
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override;
@@ -60,6 +55,9 @@ class Sequential : public Layer {
 
   std::size_t size() const { return layers_.size(); }
   Layer& layer(std::size_t i) { return *layers_[i]; }
+
+ protected:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
 
  private:
   /// One step of eval_item: a layer on its own (`layer`), or a fused conv
@@ -87,8 +85,6 @@ class Residual final : public Layer {
   Residual(LayerPtr main, LayerPtr projection = nullptr);
 
   using Layer::backward;
-  using Layer::forward;
-  Tensor forward(const Tensor& input, Workspace& ws) const override;
   Item eval_item(const Item& in, EvalLane& lane) const override;
   Tensor backward(const Tensor& grad_output, Workspace& ws) override;
   std::vector<Param*> params() override;
@@ -102,6 +98,8 @@ class Residual final : public Layer {
   Layer* projection() { return projection_.get(); }
 
  private:
+  Tensor forward_train(const Tensor& input, Workspace& ws) const override;
+
   LayerPtr main_;
   LayerPtr projection_;
 };

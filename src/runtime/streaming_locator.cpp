@@ -87,7 +87,6 @@ void StreamingLocator::reset() {
   next_window_ = 0;
   detector_.reset();
   finished_ = false;
-  corrupt_samples_ = 0;
 }
 
 std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
@@ -102,7 +101,6 @@ std::vector<Detection> StreamingLocator::feed(std::span<const float> chunk) {
 
   const ScrubResult scrub = scrub_non_finite(data, nan_policy_, sanitize_buf_);
   if (scrub.bad > 0) {
-    corrupt_samples_ += scrub.bad;
     metrics_.corrupt_samples->add(scrub.bad);
     if (nan_policy_ == StreamingConfig::NanPolicy::kReject)
       // Stream state untouched: the bad chunk is simply not part of the

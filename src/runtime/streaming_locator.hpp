@@ -37,10 +37,9 @@ using Detection = core::Detection;
 struct StreamingConfig {
   /// What feed() does with a chunk containing non-finite samples (NaN/Inf
   /// — a dying probe, a truncated capture, an injected poison). Either
-  /// way the corruption is counted (StreamMetrics::corrupt_samples,
-  /// StreamingLocator::corrupt_samples()) and never reaches the model:
-  /// unchecked, one NaN propagates through window standardization into
-  /// every score of every window containing it.
+  /// way the corruption is counted (StreamMetrics::corrupt_samples) and
+  /// never reaches the model: unchecked, one NaN propagates through window
+  /// standardization into every score of every window containing it.
   enum class NanPolicy {
     /// Throw CorruptSignal and leave the stream untouched: the bad chunk
     /// is not appended, and the caller may keep feeding clean chunks —
@@ -115,10 +114,6 @@ class StreamingLocator {
   /// locator's calibration-trace Otsu threshold.
   float threshold() const { return detector_.config().threshold; }
   std::size_t median_k() const { return detector_.config().median_k; }
-  bool finished() const { return finished_; }
-  /// Non-finite samples seen at feed() boundaries on this stream. reset()
-  /// clears it.
-  std::size_t corrupt_samples() const { return corrupt_samples_; }
 
  private:
   void pump(bool eof, std::vector<Detection>& out);
@@ -132,7 +127,6 @@ class StreamingLocator {
   SampleRing ring_;
   std::size_t next_window_ = 0;  ///< next window index to score
   bool finished_ = false;
-  std::size_t corrupt_samples_ = 0;  ///< non-finite samples seen at feed()
 
   // Reused scratch. (Window staging lives in ws_.staging(): windows are
   // standardized from the ring directly into the batch tensor.)

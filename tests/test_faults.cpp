@@ -396,7 +396,9 @@ TEST_F(FaultsSuite, PoisonedChunkIsRejectedAndTheStreamRecovers) {
 
   const auto samples = eval_span();
   const std::size_t chunk = 4096;
-  runtime::StreamingLocator stream(*locator_);  // nan_policy = kReject
+  obs::Registry registry;
+  const auto metrics = runtime::StreamMetrics::resolve(registry, "stream");
+  runtime::StreamingLocator stream(*locator_, {}, metrics);  // kReject
 
   std::vector<std::size_t> starts;
   std::vector<float> accepted;  // what the stream actually ingested
@@ -416,7 +418,7 @@ TEST_F(FaultsSuite, PoisonedChunkIsRejectedAndTheStreamRecovers) {
   EXPECT_EQ(rejected_chunks, 1u);
   EXPECT_EQ(injector.injected("stream.feed"), 1u);
   EXPECT_EQ(injector.hits("stream.feed"), fed);
-  EXPECT_GT(stream.corrupt_samples(), 0u);
+  EXPECT_GT(metrics.corrupt_samples->value(), 0u);
   // Parity over the accepted samples: the rejected chunk is simply not part
   // of the stream, everything the stream DID accept scores bit-identical.
   EXPECT_EQ(starts, locator_->locate(accepted));
@@ -434,7 +436,9 @@ TEST_F(FaultsSuite, SanitizePolicyScrubsPoisonAndKeepsParity) {
   const std::size_t chunk = 4096;
   runtime::StreamingConfig cfg;
   cfg.nan_policy = runtime::StreamingConfig::NanPolicy::kSanitize;
-  runtime::StreamingLocator stream(*locator_, cfg);
+  obs::Registry registry;
+  const auto metrics = runtime::StreamMetrics::resolve(registry, "stream");
+  runtime::StreamingLocator stream(*locator_, cfg, metrics);
 
   std::vector<std::size_t> starts;
   for (std::size_t off = 0; off < samples.size(); off += chunk) {
@@ -449,19 +453,21 @@ TEST_F(FaultsSuite, SanitizePolicyScrubsPoisonAndKeepsParity) {
   for (std::size_t i = 0; i < chunk && i < sanitized.size(); i += 64)
     sanitized[i] = 0.0f;
   EXPECT_EQ(starts, locator_->locate(sanitized));
-  EXPECT_EQ(stream.corrupt_samples(), (chunk + 63) / 64);
+  EXPECT_EQ(metrics.corrupt_samples->value(), (chunk + 63) / 64);
   EXPECT_EQ(injector.injected("stream.feed"), 1u);
 }
 
 TEST_F(FaultsSuite, RealNanInputIsCaughtWithoutTheInjector) {
   // The validation is not an injector artifact: a genuinely corrupt chunk
   // (dying probe) hits the same typed error with nothing armed.
-  runtime::StreamingLocator stream(*locator_);
+  obs::Registry registry;
+  const auto metrics = runtime::StreamMetrics::resolve(registry, "stream");
+  runtime::StreamingLocator stream(*locator_, {}, metrics);
   std::vector<float> bad(1024, 0.5f);
   bad[17] = std::numeric_limits<float>::quiet_NaN();
   bad[900] = std::numeric_limits<float>::infinity();
   EXPECT_THROW(stream.feed(bad), CorruptSignal);
-  EXPECT_EQ(stream.corrupt_samples(), 2u);
+  EXPECT_EQ(metrics.corrupt_samples->value(), 2u);
   EXPECT_EQ(stream.samples_consumed(), 0u);  // state untouched
 }
 

@@ -211,9 +211,11 @@ class TestOnlyApiRule(unittest.TestCase):
                 'const char* s = "only_tests: bad";\n')
 
     def tree(self, callers: dict[str, str]) -> dict[str, str]:
+        # The example names Box, so only the functions are in question.
         files = {"src/k/a.hpp": self.HPP, "src/k/a.cpp": self.CPP,
                  "tests/test_a.cpp": self.TEST,
-                 "src/k/mentions.cpp": self.MENTIONS}
+                 "src/k/mentions.cpp": self.MENTIONS,
+                 "examples/box.cpp": "k::Box box;\n"}
         files.update(callers)
         return files
 
@@ -276,6 +278,86 @@ class TestOnlyApiRule(unittest.TestCase):
         self.assertIn("'only_tests' has a caller", findings[1])
         for f in findings:
             self.assertIn("[test-only-api]", f)
+
+
+class TestOnlyClassRule(unittest.TestCase):
+    # Box is named only in its header, its member definitions, a test, a
+    # comment and a string.
+    HPP = ("namespace k {\n"
+           "class Box {\n"
+           " public:\n"
+           "  static Box all();\n"
+           "  int member() const;\n"
+           "};\n"
+           "}  // namespace k\n")
+    CPP = ("namespace k {\n"
+           "Box Box::all() { return Box(); }\n"
+           "int Box::member() const { return 0; }\n"
+           "}  // namespace k\n")
+    TEST = "TEST(A, B) { EXPECT_EQ(k::Box::all().member(), 0); }\n"
+    MENTIONS = '// Box is handy\nconst char* s = "Box";\n'
+
+    def tree(self, users: dict[str, str]) -> dict[str, str]:
+        files = {"src/k/box.hpp": self.HPP, "src/k/box.cpp": self.CPP,
+                 "tests/test_box.cpp": self.TEST,
+                 "src/k/mentions.cpp": self.MENTIONS}
+        files.update(users)
+        return files
+
+    def test_fires_on_class_only_tests_name(self):
+        with make_tree(self.tree({})) as root:
+            findings = lint.check_test_only_api(Path(root), {})
+        self.assertEqual(len(findings), 1, findings)
+        self.assertIn("src/k/box.hpp:2", findings[0])
+        self.assertIn("class Box", findings[0])
+        self.assertIn("[test-only-api]", findings[0])
+
+    def test_passes_when_another_header_class_holds_it(self):
+        holder = ("namespace k {\n"
+                  "struct Holder {\n"
+                  "  Box box;\n"
+                  "};\n"
+                  "}  // namespace k\n")
+        files = self.tree({"src/k/holder.hpp": holder,
+                           "bench/b.cpp": "k::Holder holder;\n"})
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_test_only_api(Path(root), {}), [])
+
+    def test_passes_when_a_bench_calls_a_static_member(self):
+        files = self.tree({"bench/b.cpp":
+                           "void f() {\n  auto box = k::Box::all();\n}\n"})
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_test_only_api(Path(root), {}), [])
+
+    def test_passes_on_allowlisted_class(self):
+        with make_tree(self.tree({})) as root:
+            self.assertEqual(lint.check_test_only_api(
+                Path(root), {"Box": "test hook"}), [])
+
+    def test_ignores_enums_nested_and_function_local_classes(self):
+        hpp = ("namespace k {\n"
+               "enum class Mode { kA, kB };\n"
+               "class Used {\n"
+               "  struct Inner { int x; };\n"
+               "};\n"
+               "inline int f() {\n"
+               "  struct Local { int y; };\n"
+               "  return Local{1}.y;\n"
+               "}\n"
+               "}  // namespace k\n")
+        files = {"src/k/a.hpp": hpp,
+                 "bench/b.cpp": "int g() { return k::f() + sizeof(k::Used); }\n"}
+        with make_tree(files) as root:
+            self.assertEqual(lint.check_test_only_api(Path(root), {}), [])
+
+    def test_fires_on_stale_class_allowlist_entry(self):
+        files = self.tree({"bench/b.cpp":
+                           "void f() {\n  auto box = k::Box::all();\n}\n"})
+        with make_tree(files) as root:
+            findings = lint.check_test_only_api(Path(root),
+                                                {"Box": "gained a use"})
+        self.assertEqual(len(findings), 1, findings)
+        self.assertIn("'Box' has a caller", findings[0])
 
 
 class TileSymbolsCheck(unittest.TestCase):

@@ -1,7 +1,8 @@
-// The containers' depth-first eval forward (nn/sequential.hpp): bitwise
-// parity with the layer-by-layer composition of the leaves' batched eval
-// forwards at every batch size and intra-op budget, and no heap
-// allocation after warm-up beyond the returned tensor.
+// The depth-first eval forward (Layer::forward, nn/layer.hpp) of the
+// containers, with Sequential's fused conv blocks: bitwise parity with the
+// layer-by-layer composition of the leaves' own unfused eval forwards at
+// every batch size and intra-op budget, no heap allocation after warm-up
+// beyond the returned tensor, and no compute-pool task for one window.
 //
 // This binary replaces the global operator new/delete with counting
 // versions; they count only inside count_allocations(), like perfbench's
@@ -28,6 +29,8 @@
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/sequential.hpp"
+#include "obs/registry.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace {
 
@@ -100,8 +103,8 @@ std::unique_ptr<Sequential> random_paper_cnn(const core::CnnConfig& config) {
   return net;
 }
 
-/// The reference: every leaf's own batched eval forward over the whole
-/// batch, one layer at a time.
+/// The reference: every leaf's own eval forward over the whole batch, one
+/// layer at a time, with no conv block fused.
 Tensor layer_by_layer(Layer& layer, const Tensor& x, Workspace& ws) {
   if (auto* seq = dynamic_cast<Sequential*>(&layer)) {
     Tensor y = x;
@@ -205,10 +208,7 @@ TEST(DepthFirstEval, OtherLeavesAndResidualEdgesMatchLayerByLayer) {
 TEST(DepthFirstEval, FusedConvBlocksMatchLayerByLayer) {
   // The conv-block shapes the paper CNN lacks: conv -> BN without a ReLU,
   // conv -> ReLU without a BN (not fused: there is no BatchNorm to apply),
-  // and a Sequential that ends in conv -> BN. The grain guard sends even
-  // these small convs through the batch-1 channel split, so the epilogue
-  // is sliced per chunk at budget 3.
-  kernels::ParallelGrainGuard grain(1);
+  // and a Sequential that ends in conv -> BN.
   Sequential net;
   net.emplace<Conv1d>(2, 8, 5);
   net.emplace<BatchNorm1d>(8);
@@ -301,6 +301,26 @@ TEST(DepthFirstEval, AllocatesOnlyTheReturnedTensorAfterWarmUp) {
     EXPECT_EQ(forward.bytes, logits.bytes);
     EXPECT_EQ(y.dim(0), batch);
   }
+}
+
+TEST(DepthFirstEval, OneWindowForwardPostsNoComputeTask) {
+  // An eval forward splits only its items across workspace lanes, so one
+  // window runs on the calling thread whatever the intra-op budget.
+  auto net = random_paper_cnn(core::CnnConfig::paper());
+  kernels::IntraOpGuard intra(4);
+  Workspace ws;
+  net->forward(random_input({64, 1, 384}, 73), ws);  // creates the pool
+  runtime::ThreadPool* pool = kernels::compute_pool();
+  ASSERT_NE(pool, nullptr);
+  // Never freed: the registry must outlive the process-wide pool.
+  static auto* const registry = new obs::Registry();
+  pool->attach_metrics(*registry, "compute");
+  const obs::Counter& tasks = registry->counter("compute.tasks");
+  const Tensor x = random_input({1, 1, 384}, 79);
+  net->forward(x, ws);
+  const std::uint64_t before = tasks.value();
+  net->forward(x, ws);
+  EXPECT_EQ(tasks.value() - before, 0u);
 }
 
 }  // namespace

@@ -111,16 +111,6 @@ TEST(TileTable, ListsEveryCompiledTileAndDispatchesTheFirstSupported) {
 #else
   EXPECT_EQ(names, std::vector<std::string>{"portable"});
 #endif
-  // Each tile's direct-conv register block, rows x output positions.
-  for (const Tile& t : table) {
-    SCOPED_TRACE(t.name);
-    const std::string_view name = t.name;
-    const std::size_t rows = name == "avx512" ? 8 : 4;
-    const std::size_t cols = name == "avx512" ? 48 : name == "avx2" ? 16 : 8;
-    EXPECT_EQ(t.conv_block.rows, rows);
-    EXPECT_EQ(t.conv_block.cols(), cols);
-  }
-
   const Tile& dispatched = kernels::detail::dispatched_tile();
   const auto first = std::find_if(table.begin(), table.end(),
                                   [](const Tile& t) { return t.supported(); });
@@ -132,9 +122,7 @@ TEST(TileTable, ListsEveryCompiledTileAndDispatchesTheFirstSupported) {
   }
 #endif
   RecordProperty("kernel_tile", dispatched.name);
-  std::cout << "kernel tile: " << dispatched.name << " (conv "
-            << dispatched.conv_block.rows << "x"
-            << dispatched.conv_block.cols() << ")\n";
+  std::cout << "kernel tile: " << dispatched.name << "\n";
 }
 
 // ---------------------------------------------------------------------------
@@ -701,10 +689,9 @@ TEST(GemmThreaded, ConvBitIdenticalAcrossThreadCounts) {
     std::size_t batch, cin, cout, k, n;
   };
   // batch > 1 exercises the batch partition (including a ragged 5-way
-  // split), batch == 1 the out-channel partition in whole register blocks
-  // (cout 16 is two blocks of the 8-row tile, four of the 4-row ones).
-  // Every shape also runs with an epilogue, which every channel chunk must
-  // slice with its rows.
+  // split); the batch == 1 shapes check that the budget does not change a
+  // one-item conv, which never splits. Every shape also runs with an
+  // epilogue.
   for (const auto& p :
        {Shape{5, 3, 8, 7, 40}, Shape{1, 4, 32, 5, 33}, Shape{8, 1, 16, 64, 192},
         Shape{1, 16, 16, 64, 384}}) {

@@ -44,19 +44,13 @@ TEST(Conv1d, SamePaddingPreservesLength) {
 
 TEST(Conv1d, EmptyTemporalAxisThrowsInvalidArgument) {
   // Same padding keeps every length n >= 1; n == 0 is a typed error on
-  // both the batched forward and the depth-first eval step.
+  // both the training forward and the eval forward (eval_item).
   for (std::size_t k : {1u, 64u}) {
     SCOPED_TRACE("kernel " + std::to_string(k));
     Conv1d conv(2, 4, k);
+    EXPECT_THROW(conv.forward(Tensor({3, 2, 0})), InvalidArgument);
     conv.set_training(false);
     EXPECT_THROW(conv.forward(Tensor({3, 2, 0})), InvalidArgument);
-    const float unused = 0.0f;
-    Item in;
-    in.data = &unused;
-    in.dims = {2, 0};
-    in.rank = 2;
-    EvalLane lane;
-    EXPECT_THROW(conv.eval_item(in, lane), InvalidArgument);
   }
 }
 
@@ -427,14 +421,15 @@ TEST(DataLoader, BatchesCoverDataset) {
   std::vector<std::vector<float>> windows(10, std::vector<float>(4, 1.f));
   std::vector<std::uint8_t> labels(10, 0);
   DataLoader loader(windows, labels, 3, 1);
-  EXPECT_EQ(loader.batches_per_epoch(), 4u);
   Batch b;
-  std::size_t seen = 0;
+  std::size_t seen = 0, batches = 0;
   while (loader.next(b)) {
     EXPECT_EQ(b.inputs.dim(1), 1u);
     EXPECT_EQ(b.inputs.dim(2), 4u);
     seen += b.labels.size();
+    ++batches;
   }
+  EXPECT_EQ(batches, 4u);  // the last, partial batch included
   EXPECT_EQ(seen, 10u);
 }
 

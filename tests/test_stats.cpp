@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.hpp"
-#include "common/rng.hpp"
 #include "common/stats.hpp"
 
 namespace scalocate::stats {
@@ -90,52 +89,6 @@ TEST(Stats, MinMaxArg) {
   const std::vector<float> v = {3.f, -1.f, 7.f, 0.f};
   EXPECT_FLOAT_EQ(min_value(v), -1.f);
   EXPECT_FLOAT_EQ(max_value(v), 7.f);
-}
-
-TEST(Stats, RunningMomentsMatchBatch) {
-  Rng rng(5);
-  std::vector<float> xs;
-  RunningMoments rm;
-  for (int i = 0; i < 1000; ++i) {
-    const double x = rng.normal(2.0, 3.0);
-    xs.push_back(static_cast<float>(x));
-    rm.add(x);
-  }
-  EXPECT_EQ(rm.count(), 1000u);
-  EXPECT_NEAR(rm.mean(), mean(xs), 1e-4);
-  EXPECT_NEAR(rm.variance(), variance(xs), 1e-2);
-  EXPECT_NEAR(rm.stddev(), stddev(xs), 1e-2);
-}
-
-TEST(Stats, RunningMomentsFewSamples) {
-  RunningMoments rm;
-  EXPECT_DOUBLE_EQ(rm.variance(), 0.0);
-  rm.add(4.0);
-  EXPECT_DOUBLE_EQ(rm.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(rm.variance(), 0.0);
-}
-
-TEST(Stats, RunningCorrelationMatchesPearson) {
-  Rng rng(9);
-  std::vector<float> xs, ys;
-  RunningCorrelation rc;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.normal();
-    const double y = 0.7 * x + 0.3 * rng.normal();
-    xs.push_back(static_cast<float>(x));
-    ys.push_back(static_cast<float>(y));
-    rc.add(x, y);
-  }
-  EXPECT_NEAR(rc.correlation(), pearson(xs, ys), 1e-4);
-}
-
-TEST(Stats, RunningCorrelationDegenerate) {
-  RunningCorrelation rc;
-  EXPECT_DOUBLE_EQ(rc.correlation(), 0.0);
-  rc.add(1.0, 1.0);
-  EXPECT_DOUBLE_EQ(rc.correlation(), 0.0);
-  rc.add(1.0, 2.0);  // zero variance in x
-  EXPECT_DOUBLE_EQ(rc.correlation(), 0.0);
 }
 
 }  // namespace

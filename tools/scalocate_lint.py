@@ -29,11 +29,15 @@ clang-tidy / compiler warnings cannot see:
                   several namespaces, a use counts for a declaration only
                   if it qualifies the name with that declaration's
                   innermost namespace or sits inside that namespace, so
-                  same-named functions cannot hide each other. The
-                  exceptions (test oracles)
-                  are listed in TEST_ONLY_API_ALLOWLIST with a reason, and
-                  an entry that names no declared function or whose
-                  function has gained such a caller is flagged stale.
+                  same-named functions cannot hide each other. Likewise
+                  every class or struct defined (with a body) at namespace
+                  scope in a src/ header is named on some line there, not
+                  counting the lines of its own body and its unindented
+                  out-of-line member definitions under src/. The
+                  exceptions (test oracles and test hooks) are listed in
+                  TEST_ONLY_API_ALLOWLIST with a reason, and an entry that
+                  names no declared function or class, or whose functions
+                  and classes have all gained such a use, is flagged stale.
                   Member functions are out of scope (matching them needs a
                   C++ parser).
 
@@ -378,9 +382,10 @@ def check_header_using(root: Path) -> list[str]:
 # Rule: test-only-api
 # ---------------------------------------------------------------------------
 
-# Namespace-scope functions that may stay without a caller outside tests/,
-# each with the reason: the oracles the parity tests compare against, and
-# the tests' access to the tiles dispatch does not pick.
+# Namespace-scope functions and classes that may stay without a use outside
+# tests/, each with the reason: the oracles the parity tests compare
+# against, the tests' access to the tiles dispatch does not pick, and the
+# kernel tests' grain override.
 TEST_ONLY_API_ALLOWLIST = {
     "check_layer_gradients": "finite-difference gradient checker: the "
                              "oracle of every layer's backward in tests/",
@@ -395,6 +400,9 @@ TEST_ONLY_API_ALLOWLIST = {
              "reads the table directly)",
     "percentile_sorted": "exact percentile over sorted samples: the oracle "
                          "of Histogram::Snapshot::quantile (ObsHistogram)",
+    "ParallelGrainGuard": "drops the threading threshold so the kernel "
+                          "tests send tiny GEMMs and convs through the "
+                          "parallel path (GemmThreaded)",
 }
 
 # Directories whose code counts as a caller.
@@ -487,12 +495,95 @@ def _test_only_functions(root: Path
     return declared, called
 
 
+# The head of a class or struct definition, up to its opening brace:
+# `class X final : public Y`, `struct alignas(64) X`.
+_CLASS_HEAD = re.compile(
+    r"\b(?:class|struct)\s+(?:alignas\s*\([^)]*\)\s*)?([A-Za-z_]\w*)\s*"
+    r"(?:final\s*)?(?::[^{;]*)?$")
+
+
+def _header_classes(path: Path) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of every class or struct defined
+    with a body at namespace scope in `path`; the lines span its head
+    and its body."""
+    text = _strip_comments_and_strings(path.read_text())
+    found = []
+    # Per open brace: None for a namespace, (name, head line) for a class
+    # body at namespace scope, False for anything else.
+    stack: list = []
+    statement = 0  # where the code before the current brace starts
+    for m in re.finditer(r"[{};]", text):
+        if m.group(0) == "{":
+            head = _CLASS_HEAD.search(text, statement, m.start())
+            if _namespace_brace(text, m.start()) is not None:
+                stack.append(None)
+            elif (head and all(kind is None for kind in stack) and
+                  not re.search(r"\benum\s*$", text[statement:head.start()])):
+                stack.append((head.group(1),
+                              text.count("\n", 0, head.start()) + 1))
+            else:
+                stack.append(False)
+        elif m.group(0) == "}" and stack:
+            kind = stack.pop()
+            if kind:
+                found.append((kind[0], kind[1],
+                              text.count("\n", 0, m.start()) + 1))
+        statement = m.end()
+    return found
+
+
+def _member_definition(name: str) -> re.Pattern:
+    """An unindented line defining a member of class `name` out of line:
+    `void X::f(`, `X::X(`, `X::~X(`, `X& X::operator=(`."""
+    return re.compile(
+        rf"^(?!\s)[^=(]*\b{name}\s*::\s*(?:~\s*)?(?:operator\b[^(]*|\w+)"
+        rf"\s*\(")
+
+
+def _test_only_classes(root: Path) -> tuple[dict[str, str], set[str]]:
+    """(class name -> 'path:line' of its first header definition, the
+    classes some line names) for every class or struct defined at
+    namespace scope in a header under src/. The lines of the class's own
+    head and body do not count, nor do its out-of-line member definitions
+    under src/."""
+    declared: dict[str, str] = {}
+    own_lines: dict[str, set[tuple[str, int]]] = {}
+    for path in _cxx_files(root):
+        if path.suffix != ".hpp":
+            continue
+        rel = path.relative_to(root).as_posix()
+        for name, first, last in _header_classes(path):
+            declared.setdefault(name, f"{rel}:{first}")
+            own_lines.setdefault(name, set()).update(
+                (rel, line) for line in range(first, last + 1))
+    definitions = {name: _member_definition(name) for name in declared}
+    used: set[str] = set()
+    for top in _CALLER_DIRS:
+        base = root / top
+        if not base.is_dir():
+            continue
+        for path in sorted(base.rglob("*")):
+            if path.suffix not in (".cpp", ".hpp"):
+                continue
+            rel = path.relative_to(root).as_posix()
+            text = _strip_comments_and_strings(path.read_text())
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for name in set(_WORD.findall(line)) & declared.keys():
+                    if (name in used or (rel, lineno) in own_lines[name] or
+                            (top == "src" and
+                             definitions[name].match(line))):
+                        continue
+                    used.add(name)
+    return declared, used
+
+
 def check_test_only_api(root: Path,
                         allowlist: dict[str, str] | None = None) -> list[str]:
-    """Flags header functions without a caller outside tests/ and stale
-    allowlist entries. Fixture trees pass their own allowlist."""
+    """Flags header functions and classes without a use outside tests/,
+    and stale allowlist entries. Fixture trees pass their own allowlist."""
     allowlist = TEST_ONLY_API_ALLOWLIST if allowlist is None else allowlist
     declared, called = _test_only_functions(root)
+    classes, used = _test_only_classes(root)
     findings = []
     for (namespace, name), site in sorted(declared.items(),
                                           key=lambda kv: kv[1]):
@@ -504,14 +595,25 @@ def check_test_only_api(root: Path,
                 f"perfbench/ calls it; delete it (with its tests) or add it "
                 f"to TEST_ONLY_API_ALLOWLIST in tools/scalocate_lint.py "
                 f"with a reason")
+    for name, site in sorted(classes.items(), key=lambda kv: kv[1]):
+        if name not in used and name not in allowlist:
+            findings.append(
+                f"{site}: [test-only-api] class {name} is defined in a src/ "
+                f"header but nothing under src/, bench/, examples/ or "
+                f"perfbench/ names it outside its own body and member "
+                f"definitions; delete it (with its tests) or add it to "
+                f"TEST_ONLY_API_ALLOWLIST in tools/scalocate_lint.py with a "
+                f"reason")
     for name in sorted(allowlist):
         functions = [f for f in declared if f[1] == name]
-        if not functions:
+        if not functions and name not in classes:
             findings.append(
                 f"tools/scalocate_lint.py: [test-only-api] "
                 f"TEST_ONLY_API_ALLOWLIST entry '{name}' names no function "
-                f"declared in a src/ header; remove the stale entry")
-        elif all(f in called for f in functions):
+                f"or class declared in a src/ header; remove the stale "
+                f"entry")
+        elif (all(f in called for f in functions) and
+              (name not in classes or name in used)):
             findings.append(
                 f"tools/scalocate_lint.py: [test-only-api] "
                 f"TEST_ONLY_API_ALLOWLIST entry '{name}' has a caller "

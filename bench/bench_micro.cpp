@@ -54,10 +54,9 @@ void BM_GemmBlocked(benchmark::State& state) {
   const auto a = random_vec(m * k, 1);
   const auto b = random_vec(k * n, 2);
   std::vector<float> c(m * n);
-  nn::kernels::GemmScratch scratch;
   for (auto _ : state) {
     nn::kernels::sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n,
-                       0.0f, c.data(), n, scratch);
+                       0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   state.counters["GFLOP/s"] = benchmark::Counter(
@@ -201,10 +200,9 @@ void BM_GemmBlockedThreads(benchmark::State& state) {
   const auto a = random_vec(m * k, 1);
   const auto b = random_vec(k * n, 2);
   std::vector<float> c(m * n);
-  nn::kernels::GemmScratch scratch;
   for (auto _ : state) {
     nn::kernels::sgemm(false, false, m, n, k, 1.0f, a.data(), k, b.data(), n,
-                       0.0f, c.data(), n, scratch);
+                       0.0f, c.data(), n);
     benchmark::DoNotOptimize(c.data());
   }
   // Raw per-iteration FLOPs, not a kIsRate counter: rate counters divide

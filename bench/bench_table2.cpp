@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "common/table.hpp"
+#include "core/alignment.hpp"
 #include "sca/cpa.hpp"
 #include "sca/matched_filter.hpp"
 #include "sca/waveform_matching.hpp"

@@ -11,6 +11,7 @@
 #include <cstdlib>
 
 #include "api/scalocate.hpp"
+#include "core/alignment.hpp"
 #include "core/metrics.hpp"
 #include "sca/cpa.hpp"
 #include "trace/scenario.hpp"

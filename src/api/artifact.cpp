@@ -308,8 +308,4 @@ void CoLocator::export_artifact(const std::string& path) const {
   api::save_artifact(*this, path);
 }
 
-CoLocator CoLocator::from_artifact(const std::string& path) {
-  return api::load_artifact(path);
-}
-
 }  // namespace scalocate::core

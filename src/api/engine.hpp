@@ -154,7 +154,8 @@ class ModelEntry;
 /// offline pipeline would emit them: through the callback when one is
 /// installed, otherwise returned from feed()/finish() (poll style). To
 /// serve many streams, feed them from several threads; streams of one
-/// model share its weights and own their scratch.
+/// model share its weights, each stages its own windows, and the scoring
+/// scratch belongs to the feeding thread.
 class Stream {
  public:
   using Callback = std::function<void(const Detection&)>;

@@ -5,6 +5,7 @@
 // a 8-byte magic so load errors are caught early.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <fstream>
 #include <string>
@@ -35,21 +36,31 @@ void write_vector(std::ostream& os, const std::vector<T>& v) {
              static_cast<std::streamsize>(v.size() * sizeof(T)));
 }
 
-/// Reads a vector written by write_vector.
+/// Reads exactly `bytes` bytes into `dst`. Throws IoError when the stream
+/// ends first.
+void read_exact(std::istream& is, void* dst, std::size_t bytes);
+
+/// Reads the u64 length prefix of `element_bytes`-sized elements that
+/// write_vector and write_string put first. Throws IoError when the stream
+/// ends first, or when that many elements cannot fit in the bytes left in
+/// the (seekable) stream: checked before the caller allocates, so a
+/// corrupt prefix cannot turn a small file into a huge zero-fill.
+std::uint64_t read_length(std::istream& is, std::size_t element_bytes);
+
+/// Reads a vector written by write_vector. Throws IoError on a short
+/// stream or a corrupt length (see read_length).
 template <typename T>
 std::vector<T> read_vector(std::istream& is) {
-  const auto n = read_scalar<std::uint64_t>(is);
-  std::vector<T> v(static_cast<std::size_t>(n));
-  if (n > 0)
-    is.read(reinterpret_cast<char*>(v.data()),
-            static_cast<std::streamsize>(n * sizeof(T)));
+  std::vector<T> v(static_cast<std::size_t>(read_length(is, sizeof(T))));
+  read_exact(is, v.data(), v.size() * sizeof(T));
   return v;
 }
 
 /// Writes a length-prefixed UTF-8 string.
 void write_string(std::ostream& os, const std::string& s);
 
-/// Reads a string written by write_string.
+/// Reads a string written by write_string. Throws IoError on a short
+/// stream or a corrupt length (see read_length).
 std::string read_string(std::istream& is);
 
 /// Opens a file for binary writing, writing `magic` (8 bytes) first.

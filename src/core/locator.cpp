@@ -176,7 +176,7 @@ void CoLocator::calibrate(const trace::CipherAcquisition& ciphers) {
 std::vector<std::size_t> CoLocator::locate(std::span<const float> trace_samples,
                                            nn::Workspace& ws) const {
   detail::require(trained_,
-                  "CoLocator::locate: train() or from_artifact() first");
+                  "CoLocator::locate: train() or api::load_artifact() first");
   // Checked before scoring: one NaN would propagate through window
   // standardization into every score of every window containing it.
   const auto bad = std::count_if(trace_samples.begin(), trace_samples.end(),
@@ -204,12 +204,6 @@ std::vector<std::size_t> CoLocator::locate(
     std::span<const float> trace_samples) const {
   nn::Workspace ws;
   return locate(trace_samples, ws);
-}
-
-AlignedTraces CoLocator::locate_and_align(std::span<const float> trace_samples,
-                                          std::size_t segment_length) const {
-  const auto starts = locate(trace_samples);
-  return align_cos(trace_samples, starts, segment_length);
 }
 
 CoLocator::CalibrationState CoLocator::calibration_state() const {

@@ -13,15 +13,15 @@
 // every later stage (segmentation, offsets, template snap, dedup) in the
 // one core::Detector that runtime/streaming_locator also drives, so
 // streamed detections equal locate() by construction. Inference is const
-// and thread-safe: the model is only read, and all per-call scratch lives
-// in an nn::Workspace, so one trained CoLocator can serve concurrent
-// locate() calls (see api::Engine).
+// and thread-safe: the model is only read, the per-call staging lives in
+// an nn::Workspace and every other scratch buffer belongs to the calling
+// thread, so one trained CoLocator can serve concurrent locate() calls
+// (see api::Engine).
 #pragma once
 
 #include <memory>
 #include <optional>
 
-#include "core/alignment.hpp"
 #include "core/dataset.hpp"
 #include "core/detector.hpp"
 #include "core/model.hpp"
@@ -71,10 +71,6 @@ class CoLocator {
                                   nn::Workspace& ws) const;
   std::vector<std::size_t> locate(std::span<const float> trace_samples) const;
 
-  /// Locates and cuts aligned segments in one call.
-  AlignedTraces locate_and_align(std::span<const float> trace_samples,
-                                 std::size_t segment_length) const;
-
   /// Everything train() produces beyond the CNN weights. Bundled into
   /// versioned model artifacts (api/artifact) so a fresh process can serve
   /// without retraining.
@@ -96,7 +92,6 @@ class CoLocator {
   /// architecture + weights + calibration (implemented in api/artifact.cpp;
   /// see scalocate::api for the format and its structured load errors).
   void export_artifact(const std::string& path) const;
-  static CoLocator from_artifact(const std::string& path);
 
   bool is_trained() const { return trained_; }
   /// Total systematic lead removed at inference (coarse + fine stage).

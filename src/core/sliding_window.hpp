@@ -12,12 +12,13 @@
 // CoLocator, StreamingLocator, and api::Engine's jobs all score through this
 // one path, so they share the model's eval forward: depth-first, one
 // window through every layer before the next, with no allocation after
-// warm-up beyond the logits (see nn/sequential.hpp).
+// warm-up beyond the logits (see nn/layer.hpp).
 //
 // The classifier never mutates the model: it requires an eval-mode network
-// and routes every forward pass through a caller-owned (or per-classifier)
-// nn::Workspace, so one trained model can serve many concurrent
-// classifiers (see api::Engine).
+// and stages every batch in a caller-owned (or per-classifier)
+// nn::Workspace, while the forward's other scratch belongs to the calling
+// thread, so one trained model can serve many concurrent classifiers (see
+// api::Engine).
 #pragma once
 
 #include <span>

@@ -5,6 +5,7 @@
 // in training mode; running estimates are used in eval mode.
 #pragma once
 
+#include "nn/kernels/gemm.hpp"
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {

@@ -1,6 +1,7 @@
 #include "nn/conv1d.hpp"
 
 #include <sstream>
+#include <vector>
 
 #include "common/error.hpp"
 #include "nn/kernels/gemm.hpp"
@@ -42,7 +43,7 @@ Tensor Conv1d::forward_train(const Tensor& input, Workspace& ws) const {
   // place, bias as the accumulator's seed, a single pass over the output.
   kernels::sgemm_conv(out_channels_, batch, weight_.value.data(),
                       bias_.value.data(), input.data(), in_channels_, n,
-                      kernel_size_, out.data(), ws.kernels().gemm);
+                      kernel_size_, out.data());
   return out;
 }
 
@@ -61,7 +62,7 @@ Item Conv1d::eval_item(const Item& in, EvalLane& lane,
   float* y = lane.push(out_channels_ * out_len);
   kernels::sgemm_conv(out_channels_, 1, weight_.value.data(),
                       bias_.value.data(), in.data, in_channels_, n,
-                      kernel_size_, y, lane.gemm(), epilogue);
+                      kernel_size_, y, epilogue);
   Item out = in.with_data(y);
   out.dims = {out_channels_, out_len};
   return out;
@@ -81,14 +82,16 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
 
   Tensor grad_input({batch, in_channels_, n});
   const std::size_t ck = in_channels_ * kernel_size_;
-  KernelScratch& ks = ws.kernels();
   const float* w = weight_.value.data();
   float* gw = weight_.grad.data();
+  // The im2col column matrix [Cin*K, out_len] and its gradient: scratch of
+  // this call alone, so they belong to the calling thread.
+  thread_local std::vector<float> col_buf, dcol_buf;
   // A 1x1 conv skips im2col: the input already is the column matrix.
   const bool pointwise = kernel_size_ == 1;
   if (!pointwise) {
-    ks.col_a.resize(ck * out_len);
-    ks.col_b.resize(ck * out_len);
+    col_buf.resize(ck * out_len);
+    dcol_buf.resize(ck * out_len);
   }
 
   for (std::size_t b = 0; b < batch; ++b) {
@@ -103,21 +106,21 @@ Tensor Conv1d::backward(const Tensor& grad_output, Workspace& ws) {
     // batch item across the whole forward pass.
     const float* col = xb;
     if (!pointwise) {
-      kernels::im2col(xb, in_channels_, n, kernel_size_, ks.col_a.data());
-      col = ks.col_a.data();
+      kernels::im2col(xb, in_channels_, n, kernel_size_, col_buf.data());
+      col = col_buf.data();
     }
     // dW += dY [Cout, out_len] x col^T [out_len, Cin*K]
     kernels::sgemm(false, true, out_channels_, ck, out_len, 1.0f, gob, out_len,
-                   col, out_len, 1.0f, gw, ck, ks.gemm);
+                   col, out_len, 1.0f, gw, ck);
     // dCol = W^T [Cin*K, Cout] x dY [Cout, out_len], scattered back by
     // col2im (overlapping taps accumulate).
     if (pointwise) {
       kernels::sgemm(true, false, ck, out_len, out_channels_, 1.0f, w, ck, gob,
-                     out_len, 0.0f, gxb, out_len, ks.gemm);
+                     out_len, 0.0f, gxb, out_len);
     } else {
       kernels::sgemm(true, false, ck, out_len, out_channels_, 1.0f, w, ck, gob,
-                     out_len, 0.0f, ks.col_b.data(), out_len, ks.gemm);
-      kernels::col2im(ks.col_b.data(), in_channels_, n, kernel_size_, gxb);
+                     out_len, 0.0f, dcol_buf.data(), out_len);
+      kernels::col2im(dcol_buf.data(), in_channels_, n, kernel_size_, gxb);
     }
   }
   return grad_input;

@@ -6,12 +6,14 @@
 // for every K, the paper's even K = 64 included (Section III-B).
 //
 // forward_train and eval_item run the direct conv kernel
-// (kernels::sgemm_conv), backward im2col + cache-blocked GEMM (nn/kernels/), with pack buffers taken from
-// the caller's Workspace so the layer itself stays const and
-// thread-shareable. The pre-refactor scalar loops survive as
-// kernels::conv1d_*_naive for parity testing.
+// (kernels::sgemm_conv), backward im2col + cache-blocked GEMM
+// (nn/kernels/). Their pack buffers and im2col columns belong to the
+// calling thread, so the layer itself stays const and thread-shareable.
+// The pre-refactor scalar loops survive as kernels::conv1d_*_naive for
+// parity testing.
 #pragma once
 
+#include "nn/kernels/gemm.hpp"
 #include "nn/layer.hpp"
 
 namespace scalocate::nn {

@@ -1,6 +1,7 @@
 #include "nn/kernels/gemm.hpp"
 
 #include <algorithm>
+#include <vector>
 
 #include "nn/kernels/parallel.hpp"
 #include "nn/kernels/tiles.hpp"
@@ -33,7 +34,14 @@ namespace detail {
 
 // Defined here — and only here — so std::vector<float> growth code is
 // always baseline-ISA (see the declaration comment in gemm_blocked.hpp).
-float* grow(std::vector<float>& buf, std::size_t count) {
+float* thread_pack_a(std::size_t count) {
+  thread_local std::vector<float> buf;
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
+float* thread_pack_b(std::size_t count) {
+  thread_local std::vector<float> buf;
   if (buf.size() < count) buf.resize(count);
   return buf.data();
 }
@@ -44,19 +52,19 @@ float* grow(std::vector<float>& buf, std::size_t count) {
 void sgemm_avx512(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t k, float alpha, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc, GemmScratch& scratch);
+                  std::size_t ldc);
 void sgemm_conv_avx512(std::size_t cout, std::size_t batch, const float* w,
                        const float* bias, const float* x, std::size_t cin,
                        std::size_t n, std::size_t kernel, float* out,
-                       GemmScratch& scratch, const ConvEpilogue* epilogue);
+                       const ConvEpilogue* epilogue);
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float beta, float* c,
-                std::size_t ldc, GemmScratch& scratch);
+                std::size_t ldc);
 void sgemm_conv_avx2(std::size_t cout, std::size_t batch, const float* w,
                      const float* bias, const float* x, std::size_t cin,
                      std::size_t n, std::size_t kernel, float* out,
-                     GemmScratch& scratch, const ConvEpilogue* epilogue);
+                     const ConvEpilogue* epilogue);
 #endif
 
 namespace {
@@ -100,13 +108,6 @@ const Tile& dispatched_tile() {
 
 }  // namespace detail
 
-GemmScratch& GemmScratch::lane(std::size_t index) {
-  if (index == 0) return *this;
-  while (extra_lanes_.size() < index)
-    extra_lanes_.push_back(std::make_unique<GemmScratch>());
-  return *extra_lanes_[index - 1];
-}
-
 namespace {
 
 // Chunks for statically partitioning `extent` units of one macro-loop:
@@ -128,21 +129,12 @@ std::size_t chunks_for(std::size_t extent, std::size_t min_per_chunk,
 constexpr std::size_t kMinColsPerChunk = 32;
 constexpr std::size_t kMinRowsPerChunk = 32;
 
-/// Grows the scratch lanes OUTSIDE the parallel region (lane() mutates a
-/// vector and must not race), then runs fn(chunk, lane) over the pool.
-template <class Fn>
-void parallel_chunks(std::size_t chunks, GemmScratch& scratch, const Fn& fn) {
-  for (std::size_t c = 1; c < chunks; ++c) scratch.lane(c);
-  parallel_for(chunks,
-               [&](std::size_t c) { fn(c, scratch.lane(c)); });
-}
-
 }  // namespace
 
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
-           std::size_t ldc, GemmScratch& scratch) {
+           std::size_t ldc) {
   if (m == 0 || n == 0) return;
   if (k == 0 || alpha == 0.0f) {
     // Product term vanishes: apply beta only.
@@ -165,33 +157,32 @@ void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     // backward are [Cin*K, out_len] — split rows instead.
     std::size_t chunks = chunks_for(n, kMinColsPerChunk, budget);
     if (chunks > 1) {
-      parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
+      parallel_for(chunks, [&](std::size_t ci) {
         const auto [j0, len] = chunk_range(n, chunks, ci);
         const float* b_sub = trans_b ? b + j0 * ldb : b + j0;
         sgemm_st(trans_a, trans_b, m, len, k, alpha, a, lda, b_sub, ldb, beta,
-                 c + j0, ldc, ls);
+                 c + j0, ldc);
       });
       return;
     }
     chunks = chunks_for(m, kMinRowsPerChunk, budget);
     if (chunks > 1) {
-      parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
+      parallel_for(chunks, [&](std::size_t ci) {
         const auto [i0, len] = chunk_range(m, chunks, ci);
         const float* a_sub = trans_a ? a + i0 : a + i0 * lda;
         sgemm_st(trans_a, trans_b, len, n, k, alpha, a_sub, lda, b, ldb, beta,
-                 c + i0 * ldc, ldc, ls);
+                 c + i0 * ldc, ldc);
       });
       return;
     }
   }
-  sgemm_st(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc,
-           scratch);
+  sgemm_st(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc);
 }
 
 void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
                 const float* bias, const float* x, std::size_t cin,
                 std::size_t n, std::size_t kernel, float* out,
-                GemmScratch& scratch, const ConvEpilogue* epilogue) {
+                const ConvEpilogue* epilogue) {
   if (cout == 0 || n == 0 || batch == 0) return;
   const detail::ConvEntry sgemm_conv_st = detail::dispatched_tile().conv;
   const std::size_t budget = intra_op_threads();
@@ -200,15 +191,14 @@ void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
   if (budget > 1 && batch > 1 && !in_parallel_region() &&
       2ull * batch * cout * n * cin * kernel >= parallel_min_flops()) {
     const std::size_t chunks = std::min(budget, batch);
-    parallel_chunks(chunks, scratch, [&](std::size_t ci, GemmScratch& ls) {
+    parallel_for(chunks, [&](std::size_t ci) {
       const auto [b0, len] = chunk_range(batch, chunks, ci);
       sgemm_conv_st(cout, len, w, bias, x + b0 * cin * n, cin, n, kernel,
-                    out + b0 * cout * n, ls, epilogue);
+                    out + b0 * cout * n, epilogue);
     });
     return;
   }
-  sgemm_conv_st(cout, batch, w, bias, x, cin, n, kernel, out, scratch,
-                epilogue);
+  sgemm_conv_st(cout, batch, w, bias, x, cin, n, kernel, out, epilogue);
 }
 
 void sgemm_naive(bool trans_a, bool trans_b, std::size_t m, std::size_t n,

@@ -28,49 +28,19 @@
 // results are bit-identical to the single-threaded kernels at every
 // thread count.
 //
-// Thread-safety: sgemm is pure compute over caller-provided buffers; the
-// pack buffers live in a caller-owned GemmScratch (one per nn::Workspace,
-// hence one per concurrent inference caller). The threaded driver packs
-// into per-chunk lanes of the same scratch, so concurrent callers still
-// never share buffers.
+// Thread-safety: sgemm and sgemm_conv are pure compute over caller-provided
+// buffers. Their pack buffers belong to the calling thread (thread-local,
+// grown on demand and reused by every later call on that thread), and a
+// threaded call's chunks pack into the buffers of the threads that run
+// them, so concurrent callers never share a buffer. No kernel runs inside
+// another on the same thread, and every pack buffer is fully written
+// before it is read, so the results do not depend on which thread's
+// buffers a call used.
 #pragma once
 
 #include <cstddef>
-#include <memory>
-#include <vector>
 
 namespace scalocate::nn::kernels {
-
-/// Caller-owned packing buffers reused across sgemm calls (grown on
-/// demand, never shrunk). Not shareable between concurrent callers.
-struct GemmScratch {
-  std::vector<float> pack_a;  ///< MC x KC block of A, MR-row panels
-  std::vector<float> pack_b;  ///< KC x NC block of B, NR-column panels
-
-  GemmScratch() = default;
-  // Copying a workspace must not duplicate the per-chunk lanes: they are
-  // transient scratch regrown on demand, so a copy starts with none.
-  GemmScratch(const GemmScratch& other)
-      : pack_a(other.pack_a), pack_b(other.pack_b) {}
-  GemmScratch& operator=(const GemmScratch& other) {
-    pack_a = other.pack_a;
-    pack_b = other.pack_b;
-    extra_lanes_.clear();
-    return *this;
-  }
-  GemmScratch(GemmScratch&&) = default;
-  GemmScratch& operator=(GemmScratch&&) = default;
-
-  /// Per-chunk scratch for the threaded driver: lane(0) is this object
-  /// itself; higher lanes are grown on demand and reused across calls, so
-  /// a warmed-up workspace allocates nothing on the hot path. Callers
-  /// must not invoke lane() concurrently (the driver grows the lanes
-  /// before fanning out and only reads them inside the parallel region).
-  GemmScratch& lane(std::size_t index);
-
- private:
-  std::vector<std::unique_ptr<GemmScratch>> extra_lanes_;
-};
 
 /// C = alpha * op(A) * op(B) + beta * C, row-major with leading
 /// dimensions lda/ldb/ldc; op(X) = X^T when the trans flag is set.
@@ -79,7 +49,7 @@ struct GemmScratch {
 void sgemm(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
            std::size_t k, float alpha, const float* a, std::size_t lda,
            const float* b, std::size_t ldb, float beta, float* c,
-           std::size_t ldc, GemmScratch& scratch);
+           std::size_t ldc);
 
 /// Eval-mode BatchNorm, and optionally ReLU, applied per output channel
 /// to a conv's accumulators before they are stored (the paper's
@@ -114,7 +84,6 @@ static constexpr std::size_t conv_pad_left(std::size_t kernel) {
 void sgemm_conv(std::size_t cout, std::size_t batch, const float* w,
                 const float* bias, const float* x, std::size_t cin,
                 std::size_t n, std::size_t kernel, float* out,
-                GemmScratch& scratch,
                 const ConvEpilogue* epilogue = nullptr);
 
 /// Reference kernel: naive triple loop, double accumulators. Same

@@ -40,21 +40,21 @@ static_assert(kAvx2ConvBlock.lanes == avx2::kVL);
 void sgemm_avx2(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                 std::size_t k, float alpha, const float* a, std::size_t lda,
                 const float* b, std::size_t ldb, float beta, float* c,
-                std::size_t ldc, GemmScratch& scratch) {
+                std::size_t ldc) {
   // One tile for all shapes: a 4-row tile avoids the zero-padded panel at
   // M = 16 but re-streams the packed B panel once more per 12 rows, which
   // loses more at the large K of the im2col GEMMs than the padding costs.
   avx2::sgemm_blocked<6, 16>(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                             beta, c, ldc, scratch);
+                             beta, c, ldc);
   _mm256_zeroupper();
 }
 
 void sgemm_conv_avx2(std::size_t cout, std::size_t batch, const float* w,
                      const float* bias, const float* x, std::size_t cin,
                      std::size_t n, std::size_t kernel, float* out,
-                     GemmScratch& scratch, const ConvEpilogue* epilogue) {
+                     const ConvEpilogue* epilogue) {
   avx2::conv_direct<kAvx2ConvBlock.rows, kAvx2ConvBlock.vectors>(
-      cout, batch, w, bias, x, cin, n, kernel, out, scratch, epilogue);
+      cout, batch, w, bias, x, cin, n, kernel, out, epilogue);
   _mm256_zeroupper();
 }
 

@@ -45,18 +45,18 @@ static_assert(kAvx512ConvBlock.lanes == avx512::kVL);
 void sgemm_avx512(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                   std::size_t k, float alpha, const float* a, std::size_t lda,
                   const float* b, std::size_t ldb, float beta, float* c,
-                  std::size_t ldc, GemmScratch& scratch) {
+                  std::size_t ldc) {
   avx512::sgemm_blocked<6, 32>(trans_a, trans_b, m, n, k, alpha, a, lda, b, ldb,
-                               beta, c, ldc, scratch);
+                               beta, c, ldc);
   _mm256_zeroupper();
 }
 
 void sgemm_conv_avx512(std::size_t cout, std::size_t batch, const float* w,
                        const float* bias, const float* x, std::size_t cin,
                        std::size_t n, std::size_t kernel, float* out,
-                       GemmScratch& scratch, const ConvEpilogue* epilogue) {
+                       const ConvEpilogue* epilogue) {
   avx512::conv_direct<kAvx512ConvBlock.rows, kAvx512ConvBlock.vectors>(
-      cout, batch, w, bias, x, cin, n, kernel, out, scratch, epilogue);
+      cout, batch, w, bias, x, cin, n, kernel, out, epilogue);
   _mm256_zeroupper();
 }
 

@@ -41,7 +41,6 @@
 #endif
 
 #include <cstddef>
-#include <vector>
 
 #include "nn/kernels/gemm.hpp"
 
@@ -55,10 +54,14 @@ static inline float load_any(bool trans, const float* m, std::size_t ld,
   return trans ? m[col * ld + row] : m[row * ld + col];
 }
 
-/// Out-of-line vector growth, defined ONLY in gemm.cpp (baseline ISA):
-/// keeps std::vector<float> method instantiations — which contain
-/// vectorizable float loops — out of the AVX TUs for the same reason.
-float* grow(std::vector<float>& buf, std::size_t count);
+/// The calling thread's two pack buffers, grown to at least `count`
+/// floats (see the thread-safety note in gemm.hpp): pack_a holds the GEMM's
+/// packed A block and conv_direct's padded input, pack_b the GEMM's packed
+/// B panel. Defined ONLY in gemm.cpp (baseline ISA): keeps the
+/// std::vector<float> method instantiations behind them, which contain
+/// vectorizable float loops, out of the AVX TUs for the same reason.
+float* thread_pack_a(std::size_t count);
+float* thread_pack_b(std::size_t count);
 
 namespace SCALOCATE_TILE_ISA {
 
@@ -174,7 +177,7 @@ template <std::size_t MR, std::size_t NR>
 void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
                    std::size_t k, float alpha, const float* a, std::size_t lda,
                    const float* b, std::size_t ldb, float beta, float* c,
-                   std::size_t ldc, GemmScratch& scratch) {
+                   std::size_t ldc) {
   static_assert(kMC % MR == 0, "MC must hold whole A panels");
   for (std::size_t jc = 0; jc < n; jc += kNC) {
     const std::size_t nc = lesser(kNC, n - jc);
@@ -182,13 +185,13 @@ void sgemm_blocked(bool trans_a, bool trans_b, std::size_t m, std::size_t n,
     for (std::size_t pc = 0; pc < k; pc += kKC) {
       const std::size_t kc = lesser(kKC, k - pc);
       const bool first_panel = pc == 0;
-      float* packed_b = grow(scratch.pack_b, kc * nc_padded);
+      float* packed_b = thread_pack_b(kc * nc_padded);
       pack_block_b<NR>(trans_b, b, ldb, pc, jc, kc, nc, packed_b);
 
       for (std::size_t ic = 0; ic < m; ic += kMC) {
         const std::size_t mc = lesser(kMC, m - ic);
         const std::size_t mc_padded = (mc + MR - 1) / MR * MR;
-        float* packed_a = grow(scratch.pack_a, mc_padded * kc);
+        float* packed_a = thread_pack_a(mc_padded * kc);
         pack_block_a<MR>(trans_a, a, lda, ic, pc, mc, kc, packed_a);
 
         // BLIS loop order: the NR strip of packed B is the outer loop (one
@@ -305,7 +308,7 @@ template <std::size_t MRC, std::size_t NVC>
 void conv_direct(std::size_t cout, std::size_t batch, const float* w,
                  const float* bias, const float* x, std::size_t cin,
                  std::size_t n, std::size_t kernel, float* out,
-                 GemmScratch& scratch, const ConvEpilogue* epilogue) {
+                 const ConvEpilogue* epilogue) {
   constexpr std::size_t NR = NVC * kVL;  // output positions per tile
   const std::size_t wrow_stride = cin * kernel;
   const std::size_t pad_left = conv_pad_left(kernel);
@@ -313,9 +316,10 @@ void conv_direct(std::size_t cout, std::size_t batch, const float* w,
   // Zero padding is materialized into an L1-sized staging copy of the item
   // (plus NR floats of load slop), so every tap load in the hot loop is a
   // plain unaligned vector load with no border branches. Only the pad and
-  // slop columns need zeros: each item's copy rewrites the rest.
+  // slop columns need zeros: each item's copy rewrites the rest. The
+  // buffer is the thread's, so the pad columns are zeroed on every call.
   const std::size_t np = n + kernel - 1 + NR;
-  float* xpad = grow(scratch.pack_a, cin * np);
+  float* xpad = thread_pack_a(cin * np);
   for (std::size_t ci = 0; ci < cin; ++ci) {
     float* row = xpad + ci * np;
     __builtin_memset(row, 0, pad_left * sizeof(float));

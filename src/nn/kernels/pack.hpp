@@ -10,8 +10,8 @@
 // scatters a column-matrix gradient back onto the (zero-initialized or
 // accumulated) input gradient.
 //
-// The column buffer is caller-owned scratch (nn::Workspace::kernels()), so
-// packing allocates nothing on the hot path.
+// The column buffer is caller-provided (Conv1d::backward keeps one per
+// thread), so packing allocates nothing on the hot path.
 #pragma once
 
 #include <cstddef>

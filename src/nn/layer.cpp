@@ -36,6 +36,11 @@ std::string Item::shape_string() const {
   return os.str();
 }
 
+EvalLane& EvalLane::local() {
+  thread_local EvalLane lane;
+  return lane;
+}
+
 float* EvalLane::push(std::size_t count) {
   if (top_ == slabs_.size()) slabs_.emplace_back();
   std::vector<float>& slab = slabs_[top_++];
@@ -47,11 +52,6 @@ float* EvalLane::output_for(const Item& in) {
   // A writable item always points into one of this lane's slabs, which
   // are mutable; only the containers' read-only inputs are truly const.
   return in.writable ? const_cast<float*>(in.data) : push(in.numel());
-}
-
-EvalLane& Workspace::eval_lane(std::size_t index) {
-  while (eval_lanes_.size() <= index) eval_lanes_.emplace_back();
-  return eval_lanes_[index];
 }
 
 Tensor Layer::forward(const Tensor& input, Workspace& ws) const {
@@ -77,7 +77,7 @@ Tensor Layer::forward(const Tensor& input, Workspace& ws) const {
     return x;
   };
 
-  EvalLane& lane0 = ws.eval_lane(0);
+  EvalLane& lane0 = EvalLane::local();
   lane0.rewind();
   const Item first = eval_item(item(0), lane0);
   std::vector<std::size_t> shape(first.rank + 1, batch);
@@ -94,9 +94,8 @@ Tensor Layer::forward(const Tensor& input, Workspace& ws) const {
                                      !kernels::in_parallel_region()
                                  ? std::min(budget, rest)
                                  : 1;
-  for (std::size_t c = 1; c < chunks; ++c) ws.eval_lane(c);
   const auto run_chunk = [&](std::size_t c) {
-    EvalLane& lane = ws.eval_lane(c);
+    EvalLane& lane = EvalLane::local();
     const auto [b0, len] = kernels::chunk_range(rest, chunks, c);
     for (std::size_t b = 1 + b0; b < 1 + b0 + len; ++b) {
       lane.rewind();

@@ -11,20 +11,18 @@
 // In training mode Layer::forward is the layer's forward_train. In eval
 // mode it runs depth-first, for leaves and containers alike: each batch
 // item goes through the layer's eval_item (a container's runs every
-// child) before the next item starts, with its activations in workspace
-// slabs that are sized on first use and reused after, and its output
-// written straight into the returned tensor. So every layer has one eval
-// implementation, its eval_item.
+// child) before the next item starts, with its activations in the slabs
+// of the running thread's EvalLane, which are sized on first use and
+// reused after, and its output written straight into the returned tensor.
+// So every layer has one eval implementation, its eval_item.
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "nn/kernels/gemm.hpp"
 #include "nn/tensor.hpp"
 
 namespace scalocate::nn {
@@ -64,13 +62,18 @@ struct Item {
   std::string shape_string() const;
 };
 
-/// Scratch of one depth-first eval chunk: a bump arena of activation slabs
-/// and the kernels' pack buffers. The arena is rewound before every item
-/// and each step pushes a fresh slab, so no live activation is ever
-/// overwritten; since every item of a forward pushes the same slabs, the
-/// slabs keep their storage and a warmed-up lane allocates nothing.
+/// Activation scratch of the depth-first eval forward: a bump arena of
+/// slabs. The arena is rewound before every item and each step pushes a
+/// fresh slab, so no live activation is ever overwritten; since every item
+/// of a forward pushes the same slabs, the slabs keep their storage and a
+/// warmed-up lane allocates nothing.
 class EvalLane {
  public:
+  /// The calling thread's lane (thread-local). The eval driver runs every
+  /// item on the lane of the thread that runs it, and never nests, so no
+  /// two forwards share a lane at once.
+  static EvalLane& local();
+
   /// Next slab, grown to hold at least `count` floats.
   float* push(std::size_t count);
   /// Output buffer of a shape-preserving step on `in`: `in`'s own slab
@@ -78,29 +81,19 @@ class EvalLane {
   float* output_for(const Item& in);
   void rewind() { top_ = 0; }
 
-  kernels::GemmScratch& gemm() { return gemm_; }
-
  private:
   std::vector<std::vector<float>> slabs_;
   std::size_t top_ = 0;
-  kernels::GemmScratch gemm_;
 };
 
-/// Pack buffers for the nn::kernels backend, shared by every layer routed
-/// through one workspace. The buffers are transient within a single layer
-/// call (no state survives between layers), so one set per concurrent
-/// caller suffices regardless of model depth.
-struct KernelScratch {
-  kernels::GemmScratch gemm;  ///< GEMM A/B packing panels
-  std::vector<float> col_a;   ///< im2col column matrix [Cin*K, out_len]
-  std::vector<float> col_b;   ///< backward column gradient (same shape)
-};
-
-/// Caller-owned scratch holding the per-layer activations a backward pass
-/// needs. Slots are keyed by layer identity, so a single workspace serves a
-/// whole module tree (Sequential/Residual children included). Reusing one
-/// workspace across calls avoids reallocation; it is NOT safe to share one
-/// workspace between concurrent forward passes.
+/// Caller-owned state that outlives one call: the per-layer activations a
+/// backward pass reads, and the scoring staging tensor. Slots are keyed by
+/// layer identity, so a single workspace serves a whole module tree
+/// (Sequential/Residual children included). Scratch that holds nothing
+/// between calls (eval activations, pack buffers, im2col columns) belongs
+/// to the calling thread instead. Reusing one workspace across calls avoids
+/// reallocation; it is NOT safe to share one workspace between concurrent
+/// forward passes.
 class Workspace {
  public:
   struct Slot {
@@ -112,26 +105,14 @@ class Workspace {
   Slot& slot(const Layer* layer) { return slots_[layer]; }
   void clear() { slots_.clear(); }
 
-  /// Kernel-backend pack buffers (im2col panels, GEMM packing). Owned here
-  /// so const, thread-shared layers stay allocation- and state-free.
-  KernelScratch& kernels() { return kernel_scratch_; }
-
   /// Reusable input-staging tensor for batched window scoring: callers
   /// standardize trace windows directly into this tensor and hand it to
   /// the model, avoiding any per-window staging copies.
   Tensor& staging() { return staging_; }
 
-  /// Scratch of depth-first eval chunk `index`, created on first use.
-  /// Lanes never move once created, but creating one must not race with
-  /// use of another: the eval driver creates every lane it needs before
-  /// it fans out.
-  EvalLane& eval_lane(std::size_t index);
-
  private:
   std::unordered_map<const Layer*, Slot> slots_;
-  KernelScratch kernel_scratch_;
   Tensor staging_;
-  std::deque<EvalLane> eval_lanes_;
 };
 
 /// Base class of all layers/modules. Forward is const: it may read
@@ -149,13 +130,14 @@ class Layer {
 
   /// Computes outputs for a batch. In training mode this is forward_train.
   /// In eval mode each item of dim 0 runs through eval_item on its own:
-  /// item 0 on lane 0 (it fixes the output shape; an empty batch runs one
-  /// zero item instead), then items 1..B-1, split across the compute pool
-  /// in one chunk per workspace lane when the intra-op budget is above 1
-  /// and the caller is not already in a parallel region. Kernels called
-  /// inside a chunk stay single-threaded, and every output element comes
-  /// from the same float operations whatever the split, so the result is
-  /// bit-identical at every budget.
+  /// item 0 on the calling thread (it fixes the output shape; an empty
+  /// batch runs one zero item instead), then items 1..B-1, split into
+  /// chunks across the compute pool when the intra-op budget is above 1
+  /// and the caller is not already in a parallel region. Each item runs on
+  /// the EvalLane of the thread that runs it. Kernels called inside a
+  /// chunk stay single-threaded, and every output element comes from the
+  /// same float operations whatever the split and whichever thread's
+  /// scratch it used, so the result is bit-identical at every budget.
   Tensor forward(const Tensor& input, Workspace& ws) const;
 
   /// Eval-mode forward of ONE batch item, the step of the eval forward:

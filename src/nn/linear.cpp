@@ -28,7 +28,7 @@ Tensor Linear::forward_train(const Tensor& input, Workspace& ws) const {
   // out = X [B, Fin] x W^T ([Fout, Fin] transposed), then the bias row.
   kernels::sgemm(false, true, batch, out_features_, in_features_, 1.0f,
                  input.data(), in_features_, weight_.value.data(), in_features_,
-                 0.0f, out.data(), out_features_, ws.kernels().gemm);
+                 0.0f, out.data(), out_features_);
   kernels::add_bias_cols(out.data(), bias_.value.data(), batch, out_features_);
   return out;
 }
@@ -41,7 +41,7 @@ Item Linear::eval_item(const Item& in, EvalLane& lane) const {
   float* y = lane.push(out_features_);
   kernels::sgemm(false, true, 1, out_features_, in_features_, 1.0f, in.data,
                  in_features_, weight_.value.data(), in_features_, 0.0f, y,
-                 out_features_, lane.gemm());
+                 out_features_);
   kernels::add_bias_cols(y, bias_.value.data(), 1, out_features_);
   Item out = in.with_data(y);
   out.dims = {out_features_};
@@ -57,7 +57,6 @@ Tensor Linear::backward(const Tensor& grad_output, Workspace& ws) {
                   "Linear::backward: grad shape mismatch");
 
   Tensor grad_input({batch, in_features_});
-  kernels::GemmScratch& gemm = ws.kernels().gemm;
   // dBias[o] += sum_b dY[b, o]; dY columns are features, so accumulate per
   // batch row.
   float* gb = bias_.grad.data();
@@ -67,11 +66,11 @@ Tensor Linear::backward(const Tensor& grad_output, Workspace& ws) {
   // dW += dY^T [Fout, B] x X [B, Fin]
   kernels::sgemm(true, false, out_features_, in_features_, batch, 1.0f,
                  grad_output.data(), out_features_, input.data(), in_features_,
-                 1.0f, weight_.grad.data(), in_features_, gemm);
+                 1.0f, weight_.grad.data(), in_features_);
   // dX = dY [B, Fout] x W [Fout, Fin]
   kernels::sgemm(false, false, batch, in_features_, out_features_, 1.0f,
                  grad_output.data(), out_features_, weight_.value.data(),
-                 in_features_, 0.0f, grad_input.data(), in_features_, gemm);
+                 in_features_, 0.0f, grad_input.data(), in_features_);
   return grad_input;
 }
 

@@ -79,8 +79,9 @@ struct StreamMetrics {
 class StreamingLocator {
  public:
   /// `locator` must be trained and outlive this object; its model is
-  /// shared, never copied. Each StreamingLocator owns its scratch
-  /// workspace, so independent instances may run on separate threads
+  /// shared, never copied. Each StreamingLocator owns the workspace that
+  /// stages its windows, and the forward's other scratch belongs to the
+  /// feeding thread, so independent instances may run on separate threads
   /// against the same locator. The stream records into `metrics`; by
   /// default the `stream.*` instruments of obs::Registry::global() (an
   /// api::Stream records into its model's `stream.<model>.*`).

@@ -4,8 +4,8 @@
 // order picks the one post() wakes (see WakeOrder).
 //
 // Tasks receive the executing worker's index, which is how api::Engine
-// hands each worker a private scratch workspace while every worker shares
-// one read-only model. submit() wraps a callable into a
+// hands each worker a private nn::Workspace (its jobs' window staging)
+// while every worker shares one read-only model. submit() wraps a callable into a
 // std::future for callers that want the result; post() is the
 // fire-and-forget path.
 #pragma once

@@ -40,7 +40,10 @@ struct Trace {
   double mean_co_length() const;
 };
 
-/// Binary serialization (magic-prefixed, little-endian).
+/// Binary serialization (magic-prefixed, little-endian). save_trace throws
+/// IoError when the file cannot be opened or written. load_trace throws
+/// IoError when the file cannot be opened, has the wrong magic, ends
+/// before a field does, or declares a length larger than the bytes left.
 void save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
 

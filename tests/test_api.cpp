@@ -136,7 +136,7 @@ TEST_F(ApiFacade, BaselineDetectsSomething) {
 TEST_F(ApiFacade, RoundTripIsByteIdentical) {
   // save -> load -> save must reproduce the file bit for bit: every config
   // field, calibration value, weight, and buffer survives the trip.
-  auto loaded = core::CoLocator::from_artifact(*artifact_);
+  auto loaded = api::load_artifact(*artifact_);
   const auto second = temp_path("scalocate_api_rt.scart");
   loaded.export_artifact(second);
   EXPECT_EQ(read_bytes(*artifact_), read_bytes(second));
@@ -144,7 +144,7 @@ TEST_F(ApiFacade, RoundTripIsByteIdentical) {
 }
 
 TEST_F(ApiFacade, LoadedLocatorIsReadyToServe) {
-  auto loaded = core::CoLocator::from_artifact(*artifact_);
+  auto loaded = api::load_artifact(*artifact_);
   EXPECT_TRUE(loaded.is_trained());
   EXPECT_EQ(loaded.calibration_offset(), locator_->calibration_offset());
   EXPECT_DOUBLE_EQ(loaded.mean_co_length(), locator_->mean_co_length());

@@ -8,6 +8,8 @@
 #include <cstdio>
 #include <filesystem>
 
+#include "api/artifact.hpp"
+#include "core/alignment.hpp"
 #include "core/locator.hpp"
 #include "core/metrics.hpp"
 #include "trace/scenario.hpp"
@@ -89,7 +91,8 @@ TEST_F(PipelineIntegration, LocatesCosInterleavedWithNoise) {
 TEST_F(PipelineIntegration, AlignmentProducesUsableSegments) {
   const auto eval = trace::acquire_eval_trace(*sc_, 12, *key_, false);
   const auto seg_len = static_cast<std::size_t>(locator_->mean_co_length() / 4);
-  const auto aligned = locator_->locate_and_align(eval.samples, seg_len);
+  const auto aligned =
+      core::align_cos(eval.samples, locator_->locate(eval.samples), seg_len);
   EXPECT_GE(aligned.segments.size(), 9u);
   for (const auto& s : aligned.segments) EXPECT_EQ(s.size(), seg_len);
 }
@@ -116,7 +119,7 @@ TEST_F(PipelineIntegration, ModelSaveLoadKeepsPredictions) {
       (std::filesystem::temp_directory_path() / "scalocate_locator.scart")
           .string();
   locator_->export_artifact(path);
-  const core::CoLocator clone = core::CoLocator::from_artifact(path);
+  const core::CoLocator clone = api::load_artifact(path);
   std::remove(path.c_str());
 
   const auto& params = locator_->config().params;

@@ -135,8 +135,8 @@ TEST(DepthFirstEval, PaperCnnBitIdenticalToLayerByLayer) {
   for (const auto& config :
        {core::CnnConfig::scaled(), core::CnnConfig::paper()}) {
     auto net = random_paper_cnn(config);
-    // One workspace across every call: its lanes regrow and are reused
-    // across shapes and budgets.
+    // One workspace across every call, while the scratch of the threads
+    // that run the items regrows and is reused across shapes and budgets.
     Workspace ws;
     for (std::size_t window : {288u, 384u, 301u}) {
       for (std::size_t batch : {1u, 7u, 64u}) {
@@ -290,21 +290,27 @@ TEST(DepthFirstEval, AllocatesOnlyTheReturnedTensorAfterWarmUp) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     const Tensor x = random_input({batch, 1, 384}, 43);
     Workspace ws;
-    net->forward(x, ws);  // warm-up: sizes the workspace
+    net->forward(x, ws);  // warm-up: sizes the thread's scratch
     const AllocCount logits =
         count_allocations([&] { const Tensor t({batch, 2}); });
-    Tensor y;
-    const AllocCount forward =
-        count_allocations([&] { y = net->forward(x, ws); });
     ASSERT_GT(logits.calls, 0u);
-    EXPECT_EQ(forward.calls, logits.calls);
-    EXPECT_EQ(forward.bytes, logits.bytes);
-    EXPECT_EQ(y.dim(0), batch);
+    // The same workspace again, then a fresh one: the scratch belongs to
+    // the thread, so a warmed-up thread allocates nothing else either way.
+    Workspace fresh;
+    for (Workspace* w : {&ws, &fresh}) {
+      SCOPED_TRACE(w == &ws ? "warm workspace" : "fresh workspace");
+      Tensor y;
+      const AllocCount forward =
+          count_allocations([&] { y = net->forward(x, *w); });
+      EXPECT_EQ(forward.calls, logits.calls);
+      EXPECT_EQ(forward.bytes, logits.bytes);
+      EXPECT_EQ(y.dim(0), batch);
+    }
   }
 }
 
 TEST(DepthFirstEval, OneWindowForwardPostsNoComputeTask) {
-  // An eval forward splits only its items across workspace lanes, so one
+  // An eval forward splits only its items across the compute pool, so one
   // window runs on the calling thread whatever the intra-op budget.
   auto net = random_paper_cnn(core::CnnConfig::paper());
   kernels::IntraOpGuard intra(4);

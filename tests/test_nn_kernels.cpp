@@ -138,7 +138,6 @@ class GemmParity : public ::testing::TestWithParam<GemmCase> {};
 TEST_P(GemmParity, AllTransposesAlphaBeta) {
   const auto p = GetParam();
   const std::vector<Tile> tiles = supported_tiles();
-  kernels::GemmScratch scratch;
   std::uint64_t seed = 1000;
   for (bool ta : {false, true}) {
     for (bool tb : {false, true}) {
@@ -158,7 +157,7 @@ TEST_P(GemmParity, AllTransposesAlphaBeta) {
             SCOPED_TRACE(tile.name);
             auto c_tile = c0;
             tile.gemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda, b.data(),
-                      ldb, beta, c_tile.data(), p.n, scratch);
+                      ldb, beta, c_tile.data(), p.n);
             expect_close(c_tile, c_ref, 1e-5f, "gemm tile vs naive");
             if (is_fma_tile(tile)) {
               if (c_fma.empty())
@@ -171,7 +170,7 @@ TEST_P(GemmParity, AllTransposesAlphaBeta) {
           // The public entry (threaded or not) runs the dispatched tile.
           auto c_pub = c0;
           kernels::sgemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda, b.data(),
-                         ldb, beta, c_pub.data(), p.n, scratch);
+                         ldb, beta, c_pub.data(), p.n);
           expect_bit_equal(c_pub, c_dispatched, "sgemm vs dispatched tile");
         }
       }
@@ -191,19 +190,17 @@ INSTANTIATE_TEST_SUITE_P(
                       GemmCase{137, 521, 300}));  // crosses MC, NC and KC
 
 TEST(Gemm, KZeroAppliesBetaOnly) {
-  kernels::GemmScratch scratch;
   std::vector<float> c = {1.f, 2.f, 3.f, 4.f};
   kernels::sgemm(false, false, 2, 2, 0, 1.0f, nullptr, 1, nullptr, 1, 0.5f,
-                 c.data(), 2, scratch);
+                 c.data(), 2);
   EXPECT_FLOAT_EQ(c[0], 0.5f);
   EXPECT_FLOAT_EQ(c[3], 2.0f);
   kernels::sgemm(false, false, 2, 2, 0, 1.0f, nullptr, 1, nullptr, 1, 0.0f,
-                 c.data(), 2, scratch);
+                 c.data(), 2);
   for (float v : c) EXPECT_FLOAT_EQ(v, 0.0f);
 }
 
 TEST(Gemm, BetaZeroIgnoresGarbageC) {
-  kernels::GemmScratch scratch;
   const auto a = random_vec(6, 1);
   const auto b = random_vec(6, 2);
   std::vector<float> c_ref(4, 0.0f);
@@ -211,7 +208,7 @@ TEST(Gemm, BetaZeroIgnoresGarbageC) {
   kernels::sgemm_naive(false, false, 2, 2, 3, 1.0f, a.data(), 3, b.data(), 2,
                        0.0f, c_ref.data(), 2);
   kernels::sgemm(false, false, 2, 2, 3, 1.0f, a.data(), 3, b.data(), 2, 0.0f,
-                 c.data(), 2, scratch);
+                 c.data(), 2);
   expect_close(c, c_ref, 1e-6f, "beta=0");
 }
 
@@ -402,7 +399,6 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
   // Any FMA tile is supported, so dispatch picks one of them.
   ASSERT_TRUE(is_fma_tile(kernels::detail::dispatched_tile()));
   kernels::IntraOpGuard serial(1);
-  kernels::GemmScratch scratch;
   for (const DirectConvCase& c : ragged_direct_cases()) {
     SCOPED_TRACE(describe(c));
     const DirectConvData d(c);
@@ -412,7 +408,7 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
       std::vector<float> out(c.batch * c.cout * c.out_len,
                              std::numeric_limits<float>::quiet_NaN());
       tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
-                c.out_len, c.k, out.data(), scratch, nullptr);
+                c.out_len, c.k, out.data(), nullptr);
       expect_bit_equal(out, chain, "FMA direct conv vs scalar chain");
     }
     // The public entry runs the dispatched tile, so it computes the chain
@@ -420,7 +416,7 @@ TEST(DirectConv, AvxTileMatchesScalarFmaChainBitwise) {
     std::vector<float> pub(c.batch * c.cout * c.out_len,
                            std::numeric_limits<float>::quiet_NaN());
     kernels::sgemm_conv(c.cout, c.batch, d.w.data(), d.bias.data(),
-                        d.x.data(), c.cin, c.out_len, c.k, pub.data(), scratch);
+                        d.x.data(), c.cin, c.out_len, c.k, pub.data());
     expect_bit_equal(pub, chain, "sgemm_conv vs scalar chain");
   }
 #else
@@ -434,7 +430,6 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
   // batch-1 call bitwise equal to its row of the batched call.
   const std::vector<Tile> tiles = supported_tiles();
   ASSERT_EQ(std::string_view(tiles.back().name), "portable");
-  kernels::GemmScratch scratch;
   for (const DirectConvCase& c : ragged_direct_cases()) {
     SCOPED_TRACE(describe(c));
     const DirectConvData d(c);
@@ -448,7 +443,7 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
       std::vector<float> out(c.batch * out_item,
                              std::numeric_limits<float>::quiet_NaN());
       tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
-                n, c.k, out.data(), scratch, nullptr);
+                n, c.k, out.data(), nullptr);
       expect_close(out, ref, 1e-4f, "direct conv vs naive");
 
       for (std::size_t b = 0; b < c.batch; ++b) {
@@ -456,7 +451,7 @@ TEST(DirectConv, PortableTileMatchesReferenceAndItsBatchOneCalls) {
                                std::numeric_limits<float>::quiet_NaN());
         tile.conv(c.cout, 1, d.w.data(), d.bias.data(),
                   d.x.data() + b * c.cin * n, c.cin, n, c.k, one.data(),
-                  scratch, nullptr);
+                  nullptr);
         expect_bit_equal(
             one,
             std::span<const float>(out).subspan(b * out_item, out_item),
@@ -536,7 +531,6 @@ TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
       std::cout << "tile " << t.name
                 << " skipped: the host CPU does not support it\n";
   }
-  kernels::GemmScratch scratch;
   std::size_t signed_zeros = 0;  // -0 values the reference produced
   for (const DirectConvCase& c : ragged_direct_cases()) {
     SCOPED_TRACE(describe(c));
@@ -546,7 +540,7 @@ TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
       SCOPED_TRACE(tile.name);
       std::vector<float> plain(total, std::numeric_limits<float>::quiet_NaN());
       tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(), c.cin,
-                c.out_len, c.k, plain.data(), scratch, nullptr);
+                c.out_len, c.k, plain.data(), nullptr);
       const EpilogueConstants e(c, plain);
       for (bool relu : {false, true}) {
         SCOPED_TRACE(relu ? "relu" : "no relu");
@@ -556,14 +550,14 @@ TEST(DirectConv, EpilogueMatchesConvThenNormalizeAndRelu) {
         std::vector<float> fused(total,
                                  std::numeric_limits<float>::quiet_NaN());
         tile.conv(c.cout, c.batch, d.w.data(), d.bias.data(), d.x.data(),
-                  c.cin, c.out_len, c.k, fused.data(), scratch, &epi);
+                  c.cin, c.out_len, c.k, fused.data(), &epi);
         expect_bit_equal(fused, expected, "conv + epilogue vs separate passes");
         if (is_dispatched(tile)) {
           std::vector<float> pub(total,
                                  std::numeric_limits<float>::quiet_NaN());
           kernels::sgemm_conv(c.cout, c.batch, d.w.data(), d.bias.data(),
                               d.x.data(), c.cin, c.out_len, c.k, pub.data(),
-                              scratch, &epi);
+                              &epi);
           expect_bit_equal(pub, expected, "sgemm_conv + epilogue");
         }
       }
@@ -663,16 +657,14 @@ TEST(GemmThreaded, BitIdenticalAcrossThreadCounts) {
             auto c_ref = c0;
             {
               kernels::IntraOpGuard intra(1);
-              kernels::GemmScratch scratch;
               kernels::sgemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda,
-                             b.data(), ldb, beta, c_ref.data(), p.n, scratch);
+                             b.data(), ldb, beta, c_ref.data(), p.n);
             }
             for (std::size_t threads : {2u, 3u, 8u}) {
               kernels::IntraOpGuard intra(threads);
-              kernels::GemmScratch scratch;
               auto c_thr = c0;
               kernels::sgemm(ta, tb, p.m, p.n, p.k, alpha, a.data(), lda,
-                             b.data(), ldb, beta, c_thr.data(), p.n, scratch);
+                             b.data(), ldb, beta, c_thr.data(), p.n);
               expect_bit_equal(c_thr, c_ref, "threaded gemm");
             }
             ++seed;
@@ -711,18 +703,16 @@ TEST(GemmThreaded, ConvBitIdenticalAcrossThreadCounts) {
       std::vector<float> out_ref(p.batch * p.cout * p.n);
       {
         kernels::IntraOpGuard intra(1);
-        kernels::GemmScratch scratch;
         kernels::sgemm_conv(p.cout, p.batch, w.data(), bias.data(), x.data(),
-                            p.cin, p.n, p.k, out_ref.data(), scratch, epi);
+                            p.cin, p.n, p.k, out_ref.data(), epi);
       }
       for (std::size_t threads : {2u, 3u, 4u, 8u}) {
         SCOPED_TRACE("budget " + std::to_string(threads));
         kernels::IntraOpGuard intra(threads);
-        kernels::GemmScratch scratch;
         std::vector<float> out(p.batch * p.cout * p.n,
                                std::numeric_limits<float>::quiet_NaN());
         kernels::sgemm_conv(p.cout, p.batch, w.data(), bias.data(), x.data(),
-                            p.cin, p.n, p.k, out.data(), scratch, epi);
+                            p.cin, p.n, p.k, out.data(), epi);
         expect_bit_equal(out, out_ref, "threaded conv");
       }
     }

@@ -2,8 +2,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 
@@ -599,6 +603,87 @@ TEST(TraceIo, SaveLoadRoundTrip) {
   EXPECT_EQ(u.cos[0].plaintext[0], 0xab);
   EXPECT_EQ(u.cos[0].ciphertext[15], 0xcd);
   std::remove(path.c_str());
+}
+
+/// A saved trace of `samples` samples and `cos` COs, and its bytes.
+struct SavedTrace {
+  std::string path;
+  std::string name = "AES-128";
+  std::size_t samples, cos;
+  std::vector<char> bytes;
+
+  SavedTrace(const std::string& file, std::size_t n_samples, std::size_t n_cos)
+      : path((std::filesystem::temp_directory_path() / file).string()),
+        samples(n_samples),
+        cos(n_cos) {
+    Trace t;
+    t.cipher_name = name;
+    for (std::size_t i = 0; i < samples; ++i)
+      t.samples.push_back(static_cast<float>(i) + 0.5f);
+    for (std::size_t i = 0; i < cos; ++i)
+      t.cos.push_back({10 * i, 10 * i + 5, {}, {}});
+    save_trace(t, path);
+    std::ifstream is(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ~SavedTrace() { std::remove(path.c_str()); }
+
+  // Offsets of the three length prefixes: magic, name, sample rate (f64)
+  // and random delay (u32) come before the samples; a CO record is 48
+  // bytes.
+  std::size_t name_prefix() const { return 8; }
+  std::size_t samples_prefix() const { return 16 + name.size() + 8 + 4; }
+  std::size_t cos_prefix() const { return samples_prefix() + 8 + 4 * samples; }
+
+  /// Rewrites the file as the first `len` bytes of `content`.
+  void write(const std::vector<char>& content, std::size_t len) const {
+    std::ofstream os(path, std::ios::binary | std::ios::trunc);
+    os.write(content.data(), static_cast<std::streamsize>(len));
+  }
+};
+
+TEST(TraceIo, TruncatedFileThrowsIoError) {
+  // Cut to half: the 1000 samples end halfway through.
+  SavedTrace big("scalocate_trace_cut_half.bin", 1000, 2);
+  big.write(big.bytes, big.bytes.size() / 2);
+  EXPECT_THROW(load_trace(big.path), IoError);
+  // Every cut of a small file, inside every field.
+  SavedTrace small("scalocate_trace_cut.bin", 3, 2);
+  ASSERT_NO_THROW(load_trace(small.path));
+  for (std::size_t len = 0; len < small.bytes.size(); ++len) {
+    SCOPED_TRACE("cut to " + std::to_string(len) + " bytes");
+    small.write(small.bytes, len);
+    EXPECT_THROW(load_trace(small.path), IoError);
+  }
+}
+
+TEST(TraceIo, CorruptLengthThrowsIoError) {
+  SavedTrace t("scalocate_trace_corrupt.bin", 1000, 2);
+  struct Prefix {
+    const char* field;
+    std::size_t offset, element_bytes;
+  };
+  for (const Prefix& p : {Prefix{"name", t.name_prefix(), 1},
+                          Prefix{"samples", t.samples_prefix(), 4},
+                          Prefix{"COs", t.cos_prefix(), 48}}) {
+    const std::uint64_t left = t.bytes.size() - p.offset - 8;
+    // One element beyond the bytes left, and the largest prefix.
+    for (std::uint64_t n : {left / p.element_bytes + 1, UINT64_MAX}) {
+      SCOPED_TRACE(std::string(p.field) + " length " + std::to_string(n));
+      std::vector<char> corrupt = t.bytes;
+      std::memcpy(corrupt.data() + p.offset, &n, sizeof n);
+      t.write(corrupt, corrupt.size());
+      EXPECT_THROW(load_trace(t.path), IoError);
+    }
+  }
+}
+
+TEST(TraceIo, FailedWriteThrowsIoError) {
+  if (!std::filesystem::exists("/dev/full"))
+    GTEST_SKIP() << "no /dev/full to fail the write";
+  Trace t;
+  t.samples.assign(1000, 1.0f);
+  EXPECT_THROW(save_trace(t, "/dev/full"), IoError);
 }
 
 TEST(TraceContainer, CoStartsAndMeanLength) {
